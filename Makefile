@@ -1,5 +1,7 @@
 # Verification tiers. tier1 is the gate every change must keep green
-# (build, vet, tests); tier2 adds the race detector (the experiment
+# (build, vet, tests, plus vet and tests of the separate perfbench
+# module, which root `go build ./...` never compiles but which imports
+# the serve/gate/client API); tier2 adds the race detector (the experiment
 # harness runs simulations on a worker pool, so -race now guards real
 # concurrency), a parallel-determinism smoke that diffs sstbench -j 4
 # against -j 1, the fault-fuzz smoke (fixed seeds, bounded wall-clock)
@@ -23,6 +25,7 @@ tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race -timeout 20m ./...

@@ -14,22 +14,18 @@
 // path: a dead or draining shard is ejected (its keys re-home to ring
 // successors) and re-probed until it recovers. When every shard is
 // saturated the gateway answers 429 with the largest Retry-After any
-// shard hinted. SIGTERM/SIGINT drain exactly like rocksimd: new work
-// refused with 503, admitted work finishes, exit 0.
+// shard hinted. The gateway is the same HTTP tier as rocksimd (a
+// serve.Server over a fleet backend), so SIGTERM/SIGINT drain exactly
+// like rocksimd: new work refused with 503, admitted work finishes,
+// exit 0.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"rocksim/internal/faults"
@@ -43,7 +39,6 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated shard base URLs (required), e.g. http://127.0.0.1:8321,http://127.0.0.1:8322")
 	perShard := flag.Int("shard-concurrency", 8, "max concurrent requests per shard (also sizes the per-shard connection pool)")
 	jobs := flag.Int("j", 0, "max cells in flight per grid across the fleet (0 = shard-concurrency x shards)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = default)")
 	queue := flag.Int("queue", serve.DefaultQueueDepth, "gateway admission bound before 429")
 	retryAfter := flag.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After hint on gateway 429 responses")
 	busyAttempts := flag.Int("busy-attempts", gate.DefaultBusyAttempts, "per-cell waits on a shard 429 before trying a successor")
@@ -74,7 +69,7 @@ func main() {
 		base.Timeout = *timeout
 	}
 	if *faultSpec != "" {
-		plan, err := parseFaults(*faultSpec)
+		plan, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rockgate: bad -faults:", err)
 			os.Exit(2)
@@ -86,7 +81,6 @@ func main() {
 		Targets:      targets,
 		PerShard:     *perShard,
 		Jobs:         *jobs,
-		VNodes:       *vnodes,
 		QueueDepth:   *queue,
 		RetryAfter:   *retryAfter,
 		BusyAttempts: *busyAttempts,
@@ -100,29 +94,12 @@ func main() {
 	}
 	defer g.Close()
 	g.Fleet().Monitor().Start(*probeInterval)
-	hs := &http.Server{Addr: *addr, Handler: g}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		log.Info("signal received; draining")
-		g.StartDrain()
-		shctx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-		defer cancel()
-		if err := hs.Shutdown(shctx); err != nil {
-			log.Error("shutdown", "err", err)
-		}
-	}()
 
 	log.Info("listening", "addr", *addr, "shards", len(targets), "per_shard", *perShard)
-	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	if err := g.ListenAndServe(*addr, *shutdownGrace); err != nil {
 		fmt.Fprintln(os.Stderr, "rockgate:", err)
 		os.Exit(1)
 	}
-	// Listener closed; wait for admitted work so a drain never abandons
-	// a fan-out mid-grid.
-	g.Wait()
 	log.Info("drained cleanly")
 }
 
@@ -135,17 +112,4 @@ func splitTargets(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseFaults accepts the same forms as the rocksimd/sstsim -faults
-// flag.
-func parseFaults(spec string) (*faults.Plan, error) {
-	if rest, ok := strings.CutPrefix(spec, "random:"); ok {
-		seed, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad random faults seed %q: %v", rest, err)
-		}
-		return faults.Random(seed, 1_000_000), nil
-	}
-	return faults.Parse(spec)
 }

@@ -266,7 +266,7 @@ func drive(ctx context.Context, do func(serve.RunRequest) (*client.RunResult, er
 					if errors.As(err, &busy) {
 						rejected.Add(1)
 						retryWait.Add(int64(busy.RetryAfter))
-						if !sleepCtx(ctx, busy.RetryAfter) {
+						if !client.SleepCtx(ctx, busy.RetryAfter) {
 							break
 						}
 						continue
@@ -624,24 +624,6 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	i := int(q*float64(len(sorted)-1) + 0.5)
 	return sorted[i]
-}
-
-// sleepCtx sleeps for d unless ctx is cancelled first, reporting
-// whether the full sleep elapsed. The 429 retry path uses it so a
-// signal interrupts a backoff immediately instead of after the server's
-// full Retry-After hint.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // runCheck is bench-guard mode: self-measure and compare to baseline.

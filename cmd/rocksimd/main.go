@@ -21,17 +21,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registered on DefaultServeMux, served on -debug-addr only
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"rocksim/internal/experiments"
@@ -76,7 +72,6 @@ func main() {
 		TraceRing:  *traceRing,
 		Logger:     log,
 	}, r)
-	hs := &http.Server{Addr: *addr, Handler: srv}
 
 	if *debugAddr != "" {
 		// The pprof endpoints live on their own listener so profiling a
@@ -90,27 +85,11 @@ func main() {
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		log.Info("signal received; draining")
-		srv.StartDrain()
-		shctx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-		defer cancel()
-		if err := hs.Shutdown(shctx); err != nil {
-			log.Error("shutdown", "err", err)
-		}
-	}()
-
 	log.Info("listening", "addr", *addr, "workers", *jobs, "queue", *queue, "trace", *trace)
-	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.ListenAndServe(*addr, *shutdownGrace); err != nil {
 		fmt.Fprintln(os.Stderr, "rocksimd:", err)
 		os.Exit(1)
 	}
-	// The HTTP listener is closed; wait for admitted work (async grids
-	// included) so a drain never abandons a computation.
-	srv.Wait()
 	hits, misses := r.CacheStats()
 	log.Info("drained cleanly", "cache_hits", hits, "cache_misses", misses)
 }

@@ -40,7 +40,7 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write per-experiment wall-clock and row counters as flat JSON ('-' = stdout)")
 	chromeOut := flag.String("chrome-trace", "", "write a Chrome trace_event JSON of per-experiment wall-clock spans (ts = µs since start)")
 	traceOut := flag.String("trace", "", "write request-scoped spans (grid root + one child per experiment, Chrome JSON) to this file")
-	faultsFlag := flag.String("faults", "", "deterministic fault plan applied to every grid cell (faults.Parse syntax; see docs/ROBUSTNESS.md)")
+	faultsFlag := flag.String("faults", "", "deterministic fault plan applied to every grid cell, or 'random:SEED' (see docs/ROBUSTNESS.md)")
 	timeout := flag.Duration("timeout", 0, "wall-clock watchdog per simulation cell (e.g. 30s; 0 = none); a tripped cell renders as ERR(deadline)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after all experiments) to this file")
@@ -104,7 +104,7 @@ func main() {
 		opts := sim.DefaultOptions()
 		opts.Timeout = *timeout
 		if *faultsFlag != "" {
-			plan, err := faults.Parse(*faultsFlag)
+			plan, err := faults.ParseSpec(*faultsFlag)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "sstbench:", err)
 				os.Exit(2)

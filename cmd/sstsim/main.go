@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"rocksim/internal/asm"
@@ -102,7 +101,7 @@ func main() {
 	}
 	opts.Timeout = *timeout
 	if *faultsFlag != "" {
-		plan, err := parseFaults(*faultsFlag)
+		plan, err := faults.ParseSpec(*faultsFlag)
 		if err != nil {
 			fatal(err)
 		}
@@ -335,21 +334,6 @@ func report(w *workload.Spec, out sim.Outcome) {
 			s.StallCycles[inorder.StallStoreBuffer])
 	}
 	fmt.Println()
-}
-
-// parseFaults parses the -faults flag: either a literal plan string
-// (faults.Parse syntax) or "random:SEED" for a generated benign plan.
-func parseFaults(s string) (*faults.Plan, error) {
-	if rest, ok := strings.CutPrefix(s, "random:"); ok {
-		seed, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -faults random seed %q: %v", rest, err)
-		}
-		// A modest horizon keeps the generated events inside the span a
-		// typical run actually executes.
-		return faults.Random(seed, 1_000_000), nil
-	}
-	return faults.Parse(s)
 }
 
 func fatal(err error) {

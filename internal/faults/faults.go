@@ -207,6 +207,22 @@ func Parse(s string) (*Plan, error) {
 	return p, nil
 }
 
+// ParseSpec decodes a fault plan as the -faults flags and the service's
+// "faults" request field accept it: the plan grammar of Parse, or
+// "random:SEED" for a generated benign plan. Its horizon of a million
+// cycles keeps the generated events inside the span a typical run
+// actually executes.
+func ParseSpec(s string) (*Plan, error) {
+	if rest, ok := strings.CutPrefix(s, "random:"); ok {
+		seed, err := strconv.ParseInt(rest, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("faults: bad random seed %q: %v", rest, err)
+		}
+		return Random(seed, 1_000_000), nil
+	}
+	return Parse(s)
+}
+
 // Random generates a benign fault plan from seed: one to five events of
 // the architecture-preserving kinds, scheduled within the first horizon
 // cycles. SkipRestore is never generated — random plans feed the

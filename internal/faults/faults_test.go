@@ -233,3 +233,37 @@ func (r *eventRecorder) Span(start, end uint64, cat, name string)               
 func (r *eventRecorder) Event(now uint64, cat, name, detail string) {
 	r.events = append(r.events, cat+"/"+name)
 }
+
+// TestParseSpec: a -faults spec is either a literal plan, which
+// round-trips through String, or random:SEED, which is exactly
+// Random(SEED, 1_000_000); a malformed seed is an error.
+func TestParseSpec(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want string // canonical plan; "" means no plan
+		err  bool
+	}{
+		{spec: "seed=1;mem-jitter@0-5000:32;mispredict@10-90:2", want: "seed=1;mem-jitter@0-5000:32;mispredict@10-90:2"},
+		{spec: "random:7", want: Random(7, 1_000_000).String()},
+		{spec: "random:-3", want: Random(-3, 1_000_000).String()},
+		{spec: ""},
+		{spec: "random:seven", err: true},
+		{spec: "random:", err: true},
+		{spec: "random:7x", err: true},
+		{spec: "bogus@5", err: true},
+	} {
+		p, err := ParseSpec(tc.spec)
+		if tc.err {
+			if err == nil {
+				t.Errorf("ParseSpec(%q) accepted: %v", tc.spec, p)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", tc.spec, err)
+		}
+		if got := p.String(); got != tc.want {
+			t.Errorf("ParseSpec(%q) = %q, want %q", tc.spec, got, tc.want)
+		}
+	}
+}

@@ -5,20 +5,21 @@ import (
 	"time"
 )
 
-// ShardState is one shard's view in the monitor.
+// ShardState is one shard's view in the monitor, and its entry in the
+// gateway's /healthz body.
 type ShardState struct {
-	Target string
+	Target string `json:"target"`
 	// Up is false while the shard is ejected from the ring.
-	Up bool
+	Up bool `json:"up"`
 	// Draining marks a shard that answered its probe with a lame-duck
 	// refusal (503 from /healthz): it still finishes admitted work but
 	// must not receive new fan-outs, so it is ejected like a dead one
 	// and re-probed until it either disappears or comes back.
-	Draining bool
+	Draining bool `json:"draining"`
 	// Ejections counts how many times the shard has been ejected.
-	Ejections uint64
+	Ejections uint64 `json:"ejections"`
 	// LastErr is the most recent probe or request failure ("" when up).
-	LastErr string
+	LastErr string `json:"last_err,omitempty"`
 }
 
 // ErrDraining is the sentinel probe error for a lame-duck shard.

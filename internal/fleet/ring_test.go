@@ -21,8 +21,8 @@ func testKeys(nk int) []string {
 // property that lets every router agree on placement.
 func TestOwnerDeterministic(t *testing.T) {
 	members := []string{"a", "b", "c"}
-	r1 := NewRing(0, members...)
-	r2 := NewRing(0, "c", "a", "b") // different insertion order
+	r1 := NewRing(members...)
+	r2 := NewRing("c", "a", "b") // different insertion order
 	for _, k := range testKeys(200) {
 		if o1, o2 := r1.Owner(k), r2.Owner(k); o1 != o2 {
 			t.Fatalf("key %q: owner %q vs %q on identically-membered rings", k, o1, o2)
@@ -35,7 +35,7 @@ func TestOwnerDeterministic(t *testing.T) {
 // keeps this bound; the test pins that 128 of them are enough.
 func TestDistributionSkew(t *testing.T) {
 	members := []string{"a", "b", "c"}
-	r := NewRing(0, members...)
+	r := NewRing(members...)
 	counts := make(map[string]int)
 	keys := testKeys(1000)
 	for _, k := range keys {
@@ -55,7 +55,7 @@ func TestDistributionSkew(t *testing.T) {
 // K/(n+1) of the keys and never more than twice that; every moved key
 // moves TO the new member, never between old ones.
 func TestAddMovesBoundedKeys(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
+	r := NewRing("a", "b", "c")
 	keys := testKeys(1000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
@@ -85,7 +85,7 @@ func TestAddMovesBoundedKeys(t *testing.T) {
 // TestRemoveMovesOnlyOwnedKeys: removing a member re-homes exactly the
 // keys it owned; every other key keeps its owner.
 func TestRemoveMovesOnlyOwnedKeys(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
+	r := NewRing("a", "b", "c")
 	keys := testKeys(1000)
 	before := make(map[string]string, len(keys))
 	owned := 0
@@ -119,7 +119,7 @@ func TestRemoveMovesOnlyOwnedKeys(t *testing.T) {
 // first, and removing the owner promotes the old first successor — the
 // retry order a router walks when a shard dies mid-request.
 func TestOwnersFailoverOrder(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
+	r := NewRing("a", "b", "c")
 	for _, k := range testKeys(50) {
 		owners := r.Owners(k, 3)
 		if len(owners) != 3 {
@@ -145,43 +145,14 @@ func TestOwnersFailoverOrder(t *testing.T) {
 	}
 }
 
-// TestOwnerBounded: a member at capacity is skipped in favor of the
-// next successor, and with everyone saturated the plain owner is the
-// fallback rather than a failure.
-func TestOwnerBounded(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
-	k := testKeys(1)[0]
-	plain := r.Owner(k)
-	succ := r.Owners(k, 2)[1]
-
-	load := map[string]int{"a": 1, "b": 1, "c": 1}
-	load[plain] = 10 // far over any capacity for total 12
-	if got := r.OwnerBounded(k, func(m string) int { return load[m] }, 1.25); got != succ {
-		t.Errorf("bounded owner %q, want successor %q when owner is over capacity", got, succ)
-	}
-
-	// Uniform load: the plain owner is within capacity and keeps the key.
-	if got := r.OwnerBounded(k, func(string) int { return 1 }, 1.25); got != plain {
-		t.Errorf("bounded owner %q, want plain owner %q under uniform load", got, plain)
-	}
-
-	// Everyone over capacity: fall back to the plain owner, never fail.
-	if got := r.OwnerBounded(k, func(string) int { return 1000 }, 1.25); got != plain {
-		t.Errorf("saturated fallback %q, want plain owner %q", got, plain)
-	}
-}
-
 // TestEmptyRing: no members means no owners, not a panic.
 func TestEmptyRing(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if o := r.Owner("k"); o != "" {
 		t.Errorf("empty ring owner %q, want \"\"", o)
 	}
 	if os := r.Owners("k", 3); os != nil {
 		t.Errorf("empty ring owners %v, want nil", os)
-	}
-	if o := r.OwnerBounded("k", func(string) int { return 0 }, 1.25); o != "" {
-		t.Errorf("empty ring bounded owner %q, want \"\"", o)
 	}
 }
 
@@ -190,7 +161,7 @@ func TestEmptyRing(t *testing.T) {
 // and the draining distinction is recorded.
 func TestMonitorEjectAndRecover(t *testing.T) {
 	healthy := map[string]error{"a": nil, "b": nil, "c": nil}
-	m := NewMonitor(NewRing(0), []string{"a", "b", "c"}, func(t string) error { return healthy[t] })
+	m := NewMonitor(NewRing(), []string{"a", "b", "c"}, func(t string) error { return healthy[t] })
 	if m.UpCount() != 3 {
 		t.Fatalf("up count %d, want 3", m.UpCount())
 	}

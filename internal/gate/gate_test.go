@@ -318,8 +318,7 @@ func TestAllShardsSaturated(t *testing.T) {
 	for i := range targets {
 		secs := i + 1 // Retry-After 1s, 2s, 3s
 		targets[i] = fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Retry-After", fmt.Sprint(secs))
-			httpError(w, http.StatusTooManyRequests, "queue full")
+			serve.WriteResult(w, http.StatusTooManyRequests, time.Duration(secs)*time.Second, []byte("queue full"))
 		}).URL
 	}
 	g := newGateway(t, Config{

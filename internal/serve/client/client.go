@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -94,6 +95,22 @@ func responseError(resp *http.Response, body []byte) error {
 	return &StatusError{Code: resp.StatusCode, Message: msg}
 }
 
+// ProxyStatus is how a proxy in front of daemons answers for a failed
+// request, inverting responseError: a 429 keeps its Retry-After, any
+// other HTTP error its status and message, and a transport failure —
+// no daemon answered — is a 502.
+func ProxyStatus(err error) (status int, retryAfter time.Duration, msg []byte) {
+	var busy *BusyError
+	var se *StatusError
+	switch {
+	case errors.As(err, &busy):
+		return http.StatusTooManyRequests, busy.RetryAfter, []byte(err.Error())
+	case errors.As(err, &se):
+		return se.Code, 0, []byte(se.Message)
+	}
+	return http.StatusBadGateway, 0, []byte(err.Error())
+}
+
 // retryAfter parses a Retry-After header per RFC 9110 §10.2.3: either a
 // non-negative decimal number of seconds or an HTTP-date. "0" is a
 // valid, meaningful hint — retry immediately, the queue drained — and
@@ -118,6 +135,24 @@ func retryAfter(h string, now func() time.Time) time.Duration {
 		return 0
 	}
 	return serve.DefaultRetryAfter
+}
+
+// SleepCtx sleeps for d unless ctx ends first, reporting whether the
+// full sleep elapsed. The 429 retry paths use it so a signal or a
+// cancelled request interrupts a backoff immediately instead of after
+// the server's full Retry-After hint.
+func SleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // Run executes one cell and returns the report JSON exactly as the

@@ -34,9 +34,6 @@ type FleetConfig struct {
 	// DefaultMaxPerHost). The transport's connection pool is sized to
 	// match, so fan-out never opens more than PerShard conns per shard.
 	PerShard int
-	// VNodes is the ring's virtual-node count per shard (default
-	// fleet.DefaultVNodes).
-	VNodes int
 	// HTTP overrides the shared client; nil builds a tuned one sized to
 	// PerShard. Tests inject an httptest transport here.
 	HTTP *http.Client
@@ -70,8 +67,7 @@ func NewFleet(targets []string, cfg FleetConfig) (*Fleet, error) {
 		f.clients[t] = &Client{Base: t, HTTP: httpc}
 		f.sems[t] = make(chan struct{}, cfg.PerShard)
 	}
-	ring := fleet.NewRing(cfg.VNodes)
-	f.mon = fleet.NewMonitor(ring, targets, f.probe)
+	f.mon = fleet.NewMonitor(fleet.NewRing(), targets, f.probe)
 	return f, nil
 }
 
@@ -121,10 +117,6 @@ func (f *Fleet) Acquire(ctx context.Context, target string) (release func(), err
 	}
 }
 
-// MarkDown ejects a shard on request-path evidence, so the very next
-// routing decision avoids it rather than waiting for a probe tick.
-func (f *Fleet) MarkDown(target string, err error) { f.mon.MarkDown(target, err) }
-
 // RunKey is the deterministic routing key for a /v1/run request: any
 // stable function of the request works (placement only has to be
 // agreed upon, not equal to the shard's internal cache key), and JSON
@@ -163,7 +155,9 @@ func (f *Fleet) Run(ctx context.Context, req serve.RunRequest) (*RunResult, stri
 		if !transportLevel(err) {
 			return nil, target, err
 		}
-		f.MarkDown(target, err)
+		// Eject on request-path evidence, so the very next routing
+		// decision avoids the shard rather than waiting for a probe tick.
+		f.mon.MarkDown(target, err)
 		lastErr = err
 	}
 	return nil, "", fmt.Errorf("all shards failed for key: %w", lastErr)

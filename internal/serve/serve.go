@@ -1,20 +1,24 @@
-// Package serve is the HTTP front-end of rocksimd: simulation as a
-// service over the shared experiments.Runner. One daemon hosts the
-// content-addressed run cache, so repeated cells across clients —
-// CI shards regenerating overlapping figures, developers probing one
-// configuration — deduplicate onto single simulations exactly as they
-// do inside one sstbench process.
+// Package serve is the one HTTP tier of the simulation service. A
+// Server hands every admitted request to a Backend: the local
+// experiments.Runner in rocksimd (New), or a fleet of rocksimd shards
+// in rockgate (internal/gate). One daemon hosts the content-addressed
+// run cache, so repeated cells across clients — CI shards regenerating
+// overlapping figures, developers probing one configuration —
+// deduplicate onto single simulations exactly as they do inside one
+// sstbench process; a fleet places each cell on the shard that caches
+// it, so clients cannot tell a fleet from one node.
 //
 // The API surfaces the two existing CLI shapes byte-for-byte:
 //
 //	POST /v1/run     one (kind, workload, options) cell; the response
 //	                 body is identical to `sstsim -json` for that cell.
-//	POST /v1/cell    the fleet-internal cell endpoint: full wire options
-//	                 in, a CellStats snapshot (or classified cell error)
-//	                 out. Deterministic simulation failures are 200s with
-//	                 an error body — only transport/admission problems
-//	                 use HTTP status — so a router can tell "this cell
-//	                 fails everywhere" from "this shard is unavailable".
+//	POST /v1/cell    the fleet-internal cell endpoint (local backend
+//	                 only): full wire options in, a CellStats snapshot
+//	                 (or classified cell error) out. Deterministic
+//	                 simulation failures are 200s with an error body —
+//	                 only transport/admission problems use HTTP status —
+//	                 so a router can tell "this cell fails everywhere"
+//	                 from "this shard is unavailable".
 //	POST /v1/grid    one or more experiments; the body is identical to
 //	                 `sstbench` output minus its wall-clock lines.
 //	                 {"async": true} returns 202 with a result id.
@@ -29,17 +33,16 @@
 // changes headers and the /v1/trace ring only, never a response body.
 //
 // Backpressure is admission-controlled: at most Config.QueueDepth run
-// and grid requests may be in flight (executing on the Runner's worker
-// pool or queued for it); beyond that the service answers 429 with a
+// and grid requests may be in flight (executing on the backend or
+// queued for it); beyond that the service answers 429 with a
 // Retry-After hint instead of building an unbounded backlog. StartDrain
 // flips the service into lame-duck mode — new work is refused with 503,
 // in-flight and queued async work runs to completion — and Wait blocks
-// until the last admitted request finishes, which is how rocksimd turns
-// SIGTERM into a loss-free shutdown.
+// until the last admitted request finishes, which is how ListenAndServe
+// turns SIGTERM into a loss-free shutdown.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,17 +50,18 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
+	"os/signal"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"rocksim/internal/cpu"
 	"rocksim/internal/experiments"
-	"rocksim/internal/faults"
 	"rocksim/internal/obs"
-	"rocksim/internal/sim"
 	"rocksim/internal/workload"
 )
 
@@ -91,28 +95,48 @@ type Config struct {
 	// TraceRing bounds retained finished traces (0 = DefaultTraceRing).
 	TraceRing int
 	// Logger receives the structured request/drain log lines; nil
-	// discards them (tests), rocksimd passes its process logger.
+	// discards them (tests), the daemons pass their process logger.
 	Logger *slog.Logger
 	// Clock feeds span timestamps; nil means time.Now. Tests inject a
 	// fake incrementing clock to make trace exports byte-deterministic.
 	Clock func() time.Time
 }
 
-// runner is the slice of *experiments.Runner the service consumes.
-// It is an interface so the backpressure and drain tests can inject a
-// blocking fake; production code always passes the real Runner.
-type runner interface {
-	RunCellCtx(ctx context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error)
-	Run(id string, scale workload.Scale) (*experiments.Result, error)
-	BaseOptions() sim.Options
-	CacheStats() (hits, misses uint64)
-	PoolStats() (reused, built uint64)
+// Backend is a Server's compute seam. The Server owns everything the
+// two tiers share — request ids, logging and tracing, admission, drain,
+// the async-job store and request validation — and hands each admitted
+// request to the backend.
+type Backend interface {
+	// Run answers one admitted, decoded /v1/run request.
+	Run(ctx context.Context, w http.ResponseWriter, req RunRequest)
+	// Grid computes one admitted, validated grid request into a status
+	// and body (the sstbench text on 200, an error message otherwise); a
+	// 429 also carries its Retry-After.
+	Grid(ctx context.Context, ids []string, scale workload.Scale) (status int, retryAfter time.Duration, body []byte)
+	// Health adds the backend's fields to a /healthz body and returns
+	// the status to answer with while the Server is not draining.
+	Health(body map[string]any) (status int)
+	// Metrics writes the /metrics scrape: the Server's registry, after
+	// refreshing the backend's own samples in it.
+	Metrics(w io.Writer) error
 }
 
-// Server is the rocksimd HTTP handler.
+// Tier tells the two tiers apart in the plumbing they share, so each
+// keeps the samples, request ids and bodies it has always exposed.
+type Tier struct {
+	Metrics   string // prefix of the shared /metrics counters
+	RequestID string // prefix of the request ids the middleware assigns
+	Queue     string // what a 429 body calls the admission queue
+}
+
+// daemon is rocksimd's tier.
+var daemon = Tier{Metrics: "serve", RequestID: "r", Queue: "queue"}
+
+// Server is the HTTP handler of both tiers.
 type Server struct {
 	cfg   Config
-	run   runner
+	tier  Tier
+	b     Backend
 	reg   *obs.Registry
 	mux   *http.ServeMux
 	log   *slog.Logger
@@ -128,9 +152,6 @@ type Server struct {
 	wg sync.WaitGroup
 	// reqID numbers requests that arrive without an X-Request-ID.
 	reqID atomic.Uint64
-	// inflight counts simulations executing right now (inside the
-	// runner), as opposed to len(sem) which also counts queued work.
-	inflight atomic.Int64
 
 	mu         sync.Mutex
 	jobs       map[string]*gridJob
@@ -142,17 +163,15 @@ type Server struct {
 
 // gridJob is one async grid computation.
 type gridJob struct {
-	done   chan struct{}
-	status int
-	body   []byte
+	done       chan struct{}
+	status     int
+	retryAfter time.Duration
+	body       []byte
 }
 
-// New builds a Server over the real experiments Runner.
-func New(cfg Config, r *experiments.Runner) *Server {
-	return newServer(cfg, r)
-}
-
-func newServer(cfg Config, r runner) *Server {
+// NewServer builds a Server of the given tier over b. The backend
+// reaches the Server's registry and logger through Registry and Logger.
+func NewServer(cfg Config, tier Tier, b Backend) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
@@ -161,7 +180,8 @@ func newServer(cfg Config, r runner) *Server {
 	}
 	s := &Server{
 		cfg:    cfg,
-		run:    r,
+		tier:   tier,
+		b:      b,
 		reg:    obs.NewRegistry(),
 		mux:    http.NewServeMux(),
 		log:    cfg.Logger,
@@ -177,7 +197,6 @@ func newServer(cfg Config, r runner) *Server {
 		s.clock = time.Now
 	}
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/cell", s.handleCell)
 	s.mux.HandleFunc("POST /v1/grid", s.handleGrid)
 	s.mux.HandleFunc("GET /v1/result/{id}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
@@ -186,21 +205,55 @@ func newServer(cfg Config, r runner) *Server {
 	return s
 }
 
+// Registry is the registry /metrics exports; backends count into it.
+func (s *Server) Registry() *obs.Registry { return s.reg }
+
+// Logger is the Server's structured logger.
+func (s *Server) Logger() *slog.Logger { return s.log }
+
+// count bumps one of the counters both tiers keep, under the tier's
+// prefix.
+func (s *Server) count(name string) { s.reg.Counter(s.tier.Metrics + "/" + name).Inc() }
+
 // StartDrain puts the service in lame-duck mode: subsequent run/grid
 // requests are refused with 503 while already-admitted work (including
 // async grids) runs to completion.
 func (s *Server) StartDrain() {
 	if !s.draining.Swap(true) {
-		s.log.Info("drain start", "inflight", s.inflight.Load(), "queued", len(s.sem))
+		s.log.Info("drain start", "queued", len(s.sem))
 	}
 }
-
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Wait blocks until every admitted request has finished. Call after
 // StartDrain (and after http.Server.Shutdown) for a loss-free stop.
 func (s *Server) Wait() { s.wg.Wait() }
+
+// ListenAndServe serves on addr until SIGTERM or SIGINT, then drains:
+// new work is refused with 503, the listener closes and open
+// connections get grace to finish, and it returns only once every
+// admitted request — async grids included — has finished, so a drain
+// never abandons a computation.
+func (s *Server) ListenAndServe(addr string, grace time.Duration) error {
+	hs := &http.Server{Addr: addr, Handler: s}
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	failed := make(chan error, 1)
+	go func() { failed <- hs.ListenAndServe() }()
+	select {
+	case err := <-failed:
+		return err
+	case <-sig.Done():
+	}
+	s.log.Info("signal received; draining")
+	s.StartDrain()
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		s.log.Error("shutdown", "err", err)
+	}
+	s.Wait()
+	return nil
+}
 
 // RunRequest is the body of POST /v1/run.
 type RunRequest struct {
@@ -220,7 +273,7 @@ type RunOptions struct {
 	MemLat    *int   `json:"memlat,omitempty"`
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	Timeout   string `json:"timeout,omitempty"` // Go duration, e.g. "30s"
-	Faults    string `json:"faults,omitempty"`  // faults.Parse syntax or "random:SEED"
+	Faults    string `json:"faults,omitempty"`  // faults.ParseSpec syntax
 }
 
 // GridRequest is the body of POST /v1/grid.
@@ -248,62 +301,21 @@ func parseScale(s string) (workload.Scale, error) {
 	return 0, fmt.Errorf("bad scale %q (want test or full)", s)
 }
 
-// buildOptions applies a request's overrides to the runner's base
-// options, exactly as sstsim maps its flags.
-func (s *Server) buildOptions(ro *RunOptions) (sim.Options, error) {
-	opts := s.run.BaseOptions()
-	if ro == nil {
-		return opts, nil
+// ScaleName is parseScale's inverse, the canonical wire scale.
+func ScaleName(s workload.Scale) string {
+	if s == workload.ScaleTest {
+		return "test"
 	}
-	if ro.DQ != nil {
-		opts.SST.DQSize = *ro.DQ
-	}
-	if ro.Ckpt != nil {
-		opts.SST.Checkpoints = *ro.Ckpt
-	}
-	if ro.SSB != nil {
-		opts.SST.SSBSize = *ro.SSB
-	}
-	if ro.MemLat != nil && *ro.MemLat > 0 {
-		opts.Hier.DRAM.Latency = *ro.MemLat
-	}
-	if ro.MaxCycles > 0 {
-		opts.MaxCycles = ro.MaxCycles
-	}
-	if ro.Timeout != "" {
-		d, err := time.ParseDuration(ro.Timeout)
-		if err != nil {
-			return opts, fmt.Errorf("bad timeout: %v", err)
-		}
-		opts.Timeout = d
-	}
-	if ro.Faults != "" {
-		plan, err := parseFaults(ro.Faults)
-		if err != nil {
-			return opts, err
-		}
-		opts.Faults = plan
-	}
-	return opts, nil
+	return "full"
 }
 
-// parseFaults accepts the same forms as the sstsim -faults flag.
-func parseFaults(spec string) (*faults.Plan, error) {
-	if rest, ok := strings.CutPrefix(spec, "random:"); ok {
-		seed, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad random faults seed %q: %v", rest, err)
-		}
-		return faults.Random(seed, 1_000_000), nil
-	}
-	return faults.Parse(spec)
-}
+func knownExperiment(id string) bool { return slices.Contains(experiments.All, id) }
 
 // admit takes an admission slot, or explains over HTTP why it could
 // not. The caller must release() exactly when ok.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func(), ok bool) {
 	if s.draining.Load() {
-		s.reg.Counter("serve/rejected_draining").Inc()
+		s.count("rejected_draining")
 		s.log.Warn("request refused: draining", "id", RequestID(ctx))
 		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new work")
 		return nil, false
@@ -311,12 +323,11 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		s.reg.Counter("serve/rejected_busy").Inc()
-		secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
+		s.count("rejected_busy")
+		secs := retryAfterSecs(s.cfg.RetryAfter)
 		s.log.Warn("request refused: queue full", "id", RequestID(ctx), "retry_after_s", secs)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("queue full (%d in flight); retry after %ds", s.cfg.QueueDepth, secs))
+		WriteResult(w, http.StatusTooManyRequests, s.cfg.RetryAfter,
+			fmt.Appendf(nil, "%s full (%d in flight); retry after %ds", s.tier.Queue, s.cfg.QueueDepth, secs))
 		return nil, false
 	}
 	s.wg.Add(1)
@@ -331,7 +342,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	s.reg.Counter("serve/run_requests").Inc()
+	s.count("run_requests")
 	_, as := obs.StartSpan(ctx, "admission")
 	release, ok := s.admit(ctx, w)
 	as.End()
@@ -339,202 +350,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-
 	var req RunRequest
 	if err := decodeJSON(r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	kind, err := sim.KindByName(req.Kind)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	scale, err := parseScale(req.Scale)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	spec, err := workload.Build(req.Workload, scale)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	opts, err := s.buildOptions(req.Options)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Fresh per-cell registry, exactly like sstsim -json: the report's
-	// metrics block comes from the run itself. On a cache hit the cached
-	// outcome carries the registry of the original compute — same
-	// deterministic contents, so hit and miss responses are identical.
-	reg := obs.NewRegistry()
-	opts.Metrics = reg
-
-	s.inflight.Add(1)
-	t0 := time.Now()
-	out, err := s.run.RunCellCtx(ctx, kind, spec, opts)
-	computeUs := time.Since(t0).Microseconds()
-	s.inflight.Add(-1)
-	// X-Compute-Us is the server-side cell time (queue wait + cache or
-	// compute), traced or not; rockload subtracts it from client TTFB to
-	// separate network/daemon overhead from simulation time.
-	w.Header().Set("X-Compute-Us", strconv.FormatInt(computeUs, 10))
-	if err != nil {
-		s.reg.Counter("serve/run_errors").Inc()
-		s.log.Error("run failed", "id", RequestID(ctx), "kind", req.Kind,
-			"workload", req.Workload, "err", err)
-		code := http.StatusInternalServerError
-		if errors.Is(err, cpu.ErrDeadline) {
-			code = http.StatusGatewayTimeout
-		}
-		httpError(w, code, err.Error())
-		return
-	}
-	_, bs := obs.StartSpan(ctx, "assemble")
-	var buf bytes.Buffer
-	if err := sim.NewReport(out).WriteJSON(&buf); err != nil {
-		bs.End()
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	bs.End()
-	s.publishRunCPI(out)
-	s.reg.Counter("serve/cells_served").Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
-}
-
-// publishRunCPI folds a served cell's cycle-accounting stack,
-// transient-leakage counters and branch-predictor counters into the
-// service metrics, so /metrics exposes where the daemon's simulated
-// cycles went — and how much secret-tainted speculation and deferred-
-// branch training it executed — across all requests (cached cells count
-// once per serve, matching cells_served).
-func (s *Server) publishRunCPI(out sim.Outcome) {
-	if out.Core != nil {
-		b := out.Core.Base()
-		for bk := cpu.Bucket(0); bk < cpu.NumBuckets; bk++ {
-			if b.CPI[bk] > 0 {
-				s.reg.Counter("sim/cpi/" + bk.String()).Add(b.CPI[bk])
-			}
-		}
-	}
-	if out.Mach != nil && out.Mach.Hier != nil {
-		hs := out.Mach.Hier.Stats
-		s.reg.Counter("leak/tainted_accesses").Add(hs.TaintedSpecAccesses)
-		s.reg.Counter("leak/squashed_spec_fills").Add(hs.SquashedSpecFills)
-		s.reg.Counter("leak/oracle_checks").Add(hs.OracleChecks)
-	}
-	if out.Mach != nil && out.Mach.Pred != nil {
-		ps := out.Mach.Pred.Stats
-		s.reg.Counter("bpred/dir_lookups").Add(ps.DirLookups)
-		s.reg.Counter("bpred/dir_mispredicts").Add(ps.DirMispredict)
-		s.reg.Counter("bpred/btb_lookups").Add(ps.BTBLookups)
-		s.reg.Counter("bpred/btb_misses").Add(ps.BTBMisses)
-		s.reg.Counter("bpred/deferred_dir_trains").Add(ps.DeferredDirTrains)
-		s.reg.Counter("bpred/deferred_target_trains").Add(ps.DeferredTargetTrains)
-		s.reg.Counter("bpred/tage_provider_hits").Add(ps.TageProviderHits)
-		s.reg.Counter("bpred/tage_allocs").Add(ps.TageAllocs)
-	}
-}
-
-// handleCell computes one cell for a fleet router. Admission control,
-// drain behavior, X-Compute-Us and the cancellation path are identical
-// to /v1/run; what differs is the payload: complete options arrive on
-// the wire (no base-option merge, so the router's per-cell overrides
-// survive exactly) and a sim.CellStats snapshot goes back instead of
-// the rendered report. A simulation error that would render as an
-// ERR(reason) cell is returned as a 200 with the class and exact
-// message in the body; the router rebuilds it with
-// experiments.NewRemoteError so the assembled grid is byte-identical
-// to a single-node run.
-func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	s.reg.Counter("serve/cell_requests").Inc()
-	release, ok := s.admit(ctx, w)
-	if !ok {
-		return
-	}
-	defer release()
-
-	var req CellRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	kind, err := sim.KindByName(req.Kind)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	scale, err := parseScale(req.Scale)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	spec, err := workload.Build(req.Workload, scale)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	opts, err := req.Options.Options()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	s.inflight.Add(1)
-	t0 := time.Now()
-	out, err := s.run.RunCellCtx(ctx, kind, spec, opts)
-	computeUs := time.Since(t0).Microseconds()
-	s.inflight.Add(-1)
-	w.Header().Set("X-Compute-Us", strconv.FormatInt(computeUs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	if err != nil {
-		// Deliberately 200: the failure is a property of the cell, not of
-		// this shard, and must not trigger router failover (which would
-		// recompute the same failure elsewhere).
-		s.reg.Counter("serve/cell_errors").Inc()
-		s.log.Warn("cell failed", "id", RequestID(ctx), "kind", req.Kind,
-			"workload", req.Workload, "err", err)
-		json.NewEncoder(w).Encode(CellResponse{
-			ErrClass: experiments.ErrClass(err),
-			ErrMsg:   err.Error(),
-		})
-		return
-	}
-	s.publishRunCPI(out)
-	s.reg.Counter("serve/cells_served").Inc()
-	json.NewEncoder(w).Encode(CellResponse{Cell: sim.SnapshotCell(out)})
+	s.b.Run(ctx, w, req)
 }
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("serve/grid_requests").Inc()
+	s.count("grid_requests")
 	release, ok := s.admit(r.Context(), w)
 	if !ok {
 		return
 	}
 	// Released inline on the sync path, by the worker on the async path.
 	var req GridRequest
-	if err := decodeJSON(r, &req); err != nil {
-		release()
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ids := req.Exps
-	if len(ids) == 0 {
-		ids = experiments.All
-	}
-	for _, id := range ids {
-		if !knownExperiment(id) {
-			release()
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown experiment %q", id))
-			return
-		}
-	}
-	scale, err := parseScale(req.Scale)
+	ids, scale, err := decodeGrid(r, &req)
 	if err != nil {
 		release()
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -543,10 +375,12 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 
 	if req.Async {
 		job, id := s.newJob()
+		// The computation must outlive this handler's request context.
+		ctx := context.WithoutCancel(r.Context())
 		go func() {
 			defer release()
-			status, body := s.computeGrid(ids, scale)
-			s.finishJob(id, job, status, body)
+			status, retry, body := s.grid(ctx, ids, scale)
+			s.finishJob(job, status, retry, body)
 		}()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
@@ -555,47 +389,70 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 
 	defer release()
-	status, body := s.computeGrid(ids, scale)
-	if status != http.StatusOK {
-		httpError(w, status, string(body))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(body)
+	status, retry, body := s.grid(r.Context(), ids, scale)
+	WriteResult(w, status, retry, body)
 }
 
-// computeGrid regenerates the listed experiments in order. The success
-// body is byte-identical to `sstbench -exp <ids>` with the wall-clock
+// decodeGrid decodes a grid request and validates it before any work
+// starts: every experiment must exist (none means all of them) and the
+// scale must parse.
+func decodeGrid(r *http.Request, req *GridRequest) ([]string, workload.Scale, error) {
+	if err := decodeJSON(r, req); err != nil {
+		return nil, 0, err
+	}
+	ids := req.Exps
+	if len(ids) == 0 {
+		ids = experiments.All
+	}
+	for _, id := range ids {
+		if !knownExperiment(id) {
+			return nil, 0, fmt.Errorf("unknown experiment %q", id)
+		}
+	}
+	scale, err := parseScale(req.Scale)
+	return ids, scale, err
+}
+
+// grid computes one validated grid on the backend. A success body is
+// byte-identical to `sstbench -exp <ids>` with the wall-clock
 // "(… regenerated in …)" lines removed: each result rendered by
 // Result.Fprint followed by the blank separator line.
-func (s *Server) computeGrid(ids []string, scale workload.Scale) (status int, body []byte) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	var buf bytes.Buffer
-	for _, id := range ids {
-		res, err := s.run.Run(id, scale)
-		if err != nil {
-			s.reg.Counter("serve/grid_errors").Inc()
-			s.log.Error("grid failed", "exp", id, "err", err)
-			if errors.Is(err, cpu.ErrDeadline) {
-				return http.StatusGatewayTimeout, []byte(err.Error())
-			}
-			return http.StatusInternalServerError, []byte(err.Error())
-		}
-		res.Fprint(&buf)
-		fmt.Fprintln(&buf)
+func (s *Server) grid(ctx context.Context, ids []string, scale workload.Scale) (int, time.Duration, []byte) {
+	status, retry, body := s.b.Grid(ctx, ids, scale)
+	if status == http.StatusOK {
+		s.count("grids_served")
 	}
-	s.reg.Counter("serve/grids_served").Inc()
-	return http.StatusOK, buf.Bytes()
+	return status, retry, body
 }
 
-func knownExperiment(id string) bool {
-	for _, k := range experiments.All {
-		if k == id {
-			return true
-		}
+// WriteResult answers with a computed status and body: the grid text on
+// 200, otherwise the body as the JSON error message, with the
+// Retry-After hint on a 429.
+func WriteResult(w http.ResponseWriter, status int, retryAfter time.Duration, body []byte) {
+	if status == http.StatusOK {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(body)
+		return
 	}
-	return false
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(retryAfter)))
+	}
+	httpError(w, status, string(body))
+}
+
+// ErrorStatus is the status of a failed computation: 504 when the
+// wall-clock watchdog fired, 500 otherwise.
+func ErrorStatus(err error) int {
+	if errors.Is(err, cpu.ErrDeadline) {
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusInternalServerError
+}
+
+// retryAfterSecs rounds a Retry-After hint up to whole seconds, the
+// header's unit.
+func retryAfterSecs(d time.Duration) int {
+	return max(0, int((d+time.Second-1)/time.Second))
 }
 
 // newJob registers a fresh async job and returns it with its id.
@@ -612,9 +469,9 @@ func (s *Server) newJob() (*gridJob, string) {
 
 // finishJob publishes an async result and evicts the oldest finished
 // results beyond the retention bound.
-func (s *Server) finishJob(id string, job *gridJob, status int, body []byte) {
+func (s *Server) finishJob(job *gridJob, status int, retry time.Duration, body []byte) {
 	s.mu.Lock()
-	job.status, job.body = status, body
+	job.status, job.retryAfter, job.body = status, retry, body
 	finished := 0
 	for _, jid := range s.order {
 		if j := s.jobs[jid]; j != nil && (j == job || isDone(j)) {
@@ -660,49 +517,26 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"state": "running"})
 		return
 	}
-	if job.status != http.StatusOK {
-		httpError(w, job.status, string(job.body))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(job.body)
+	WriteResult(w, job.status, job.retryAfter, job.body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.run.CacheStats()
-	reused, built := s.run.PoolStats()
-	s.reg.Counter("serve/cache_hits").Set(hits)
-	s.reg.Counter("serve/cache_misses").Set(misses)
-	s.reg.Counter("serve/pool_reused").Set(reused)
-	s.reg.Counter("serve/pool_built").Set(built)
-	s.reg.Gauge("serve/queue_depth").Set(int64(len(s.sem)))
-	s.reg.Gauge("serve/inflight_runs").Set(s.inflight.Load())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.reg.WriteProm(w); err != nil {
+	if err := s.b.Metrics(w); err != nil {
 		// Headers are gone; nothing more to do than note it.
-		s.reg.Counter("serve/metrics_errors").Inc()
+		s.count("metrics_errors")
 	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	draining := s.draining.Load()
+	body := map[string]any{"ok": !draining, "draining": draining}
+	status := s.b.Health(body)
+	if draining {
+		status = http.StatusServiceUnavailable
+	}
 	w.Header().Set("Content-Type", "application/json")
-	hits, misses := s.run.CacheStats()
-	reused, built := s.run.PoolStats()
-	body := map[string]any{
-		"ok":            !s.draining.Load(),
-		"draining":      s.draining.Load(),
-		"shard_id":      s.cfg.ShardID,
-		"queue_depth":   len(s.sem),
-		"queue_limit":   s.cfg.QueueDepth,
-		"inflight_runs": s.inflight.Load(),
-		"cache_hits":    hits,
-		"cache_misses":  misses,
-		"pool_reused":   reused,
-		"pool_built":    built,
-	}
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
+	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
 }
 

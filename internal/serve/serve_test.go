@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -250,101 +249,6 @@ func (f *fakeRunner) Run(id string, scale workload.Scale) (*experiments.Result, 
 func (f *fakeRunner) BaseOptions() sim.Options     { return sim.DefaultOptions() }
 func (f *fakeRunner) CacheStats() (uint64, uint64) { return 0, 0 }
 func (f *fakeRunner) PoolStats() (uint64, uint64)  { return 0, 0 }
-
-// TestBackpressure fills the admission queue and proves the next
-// request is refused with 429 and a Retry-After hint rather than
-// queueing without bound — and that the admitted requests complete.
-func TestBackpressure(t *testing.T) {
-	fake := &fakeRunner{started: make(chan struct{}, 8), release: make(chan struct{})}
-	s := newServer(Config{QueueDepth: 2, RetryAfter: 3 * time.Second}, fake)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	codes := make([]int, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, _ := postJSON(t, ts.URL, "/v1/grid", `{"exps":["T1"]}`)
-			codes[i] = resp.StatusCode
-		}(i)
-	}
-	// Both admitted requests are inside the fake before we overflow.
-	<-fake.started
-	<-fake.started
-
-	resp, body := postJSON(t, ts.URL, "/v1/grid", `{"exps":["T1"]}`)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overflow request: status %d, want 429 (body %s)", resp.StatusCode, body)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After %q, want \"3\"", ra)
-	}
-
-	close(fake.release)
-	wg.Wait()
-	for i, c := range codes {
-		if c != http.StatusOK {
-			t.Errorf("admitted request %d: status %d, want 200", i, c)
-		}
-	}
-}
-
-// TestDrain: StartDrain refuses new work with 503 while the in-flight
-// async grid runs to completion, Wait blocks until it has, and the
-// result remains retrievable afterwards.
-func TestDrain(t *testing.T) {
-	fake := &fakeRunner{started: make(chan struct{}, 8), release: make(chan struct{})}
-	s := newServer(Config{}, fake)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	resp, body := postJSON(t, ts.URL, "/v1/grid", `{"exps":["T1"],"async":true}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async grid: status %d: %s", resp.StatusCode, body)
-	}
-	var acc AsyncAccepted
-	if err := json.Unmarshal(body, &acc); err != nil {
-		t.Fatal(err)
-	}
-	<-fake.started
-
-	s.StartDrain()
-	resp, _ = postJSON(t, ts.URL, "/v1/grid", `{"exps":["T1"]}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("grid while draining: status %d, want 503", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL, "/v1/run", `{"kind":"sst","workload":"chase"}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("run while draining: status %d, want 503", resp.StatusCode)
-	}
-	resp, _ = get(t, ts.URL, "/healthz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("healthz while draining: status %d, want 503", resp.StatusCode)
-	}
-	// The queued job is still running, not dropped.
-	resp, _ = get(t, ts.URL, acc.Result)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Errorf("poll while draining: status %d, want 202", resp.StatusCode)
-	}
-
-	close(fake.release)
-	done := make(chan struct{})
-	go func() { s.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Wait did not return after the in-flight job finished")
-	}
-	resp, got := get(t, ts.URL, acc.Result)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result after drain: status %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(got), "---- T1: fake ----") {
-		t.Errorf("drained result body %q missing the fake grid", got)
-	}
-}
 
 // TestRunDeadlineMapsTo504 uses the runner seam to pin the error
 // mapping without a wall-clock dependency.

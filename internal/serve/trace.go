@@ -58,7 +58,7 @@ func (s *Server) traceEnabled(r *http.Request) bool {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id := r.Header.Get("X-Request-ID")
 	if id == "" {
-		id = fmt.Sprintf("r%08d", s.reqID.Add(1))
+		id = fmt.Sprintf("%s%08d", s.tier.RequestID, s.reqID.Add(1))
 	}
 	w.Header().Set("X-Request-ID", id)
 	ctx := context.WithValue(r.Context(), requestIDCtxKey{}, id)
@@ -129,6 +129,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		err = tr.WriteChrome(w)
 	}
 	if err != nil {
-		s.reg.Counter("serve/trace_errors").Inc()
+		s.count("trace_errors")
 	}
 }
