@@ -17,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke determinism ci bench-overhead golden bench bench-guard profile
+.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke stress determinism ci bench-overhead golden bench bench-guard profile
 
 all: tier1
 
@@ -56,7 +56,16 @@ smoke-parallel:
 	diff -u /tmp/sstbench-j1.txt /tmp/sstbench-j4.txt
 	@echo "smoke-parallel: -j 1 and -j 4 output identical"
 
-tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke bench-guard
+tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke stress bench-guard
+
+# Repeat the two tests that used to fail intermittently: the gate's
+# connection-bound test under the race detector (it once set ConnState
+# on a running server) and the pool-reuse test (sync.Pool's per-P slot
+# missed when the worker migrated between Put and Get). 19 s of wall
+# time on a 2-CPU host with a warm build cache.
+stress:
+	$(GO) test -race -count=10 ./internal/gate -run TestFanOutConnectionBound
+	$(GO) test -count=60 ./internal/experiments -run 'TestPoolReusesInstances$$'
 
 # Bounded coverage-guided session of the native differential fuzz
 # target (internal/sim FuzzDifferential): the mutator drives the

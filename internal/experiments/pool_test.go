@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -12,9 +13,13 @@ import (
 // shape must be served by one recycled simulator, not one construction
 // each. GC is paused for the assertion window — sync.Pool is allowed to
 // drop idle instances at collection, and this test is about reuse
-// behavior, not GC policy.
+// behavior, not GC policy. The test also runs on one P: sync.Pool keeps
+// a private slot per P that other Ps cannot steal, so a worker goroutine
+// that migrates between Put and Get would miss the pool and build a
+// second instance even with GC off.
 func TestPoolReusesInstances(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r := NewRunner()
 	r.SetJobs(1)
 	spec, err := workload.Build("oltp", workload.ScaleTest)

@@ -299,13 +299,23 @@ func TestShardDiesMidGrid(t *testing.T) {
 // fakeShard is a minimal shard: healthy /healthz, scripted /v1/cell.
 func fakeShard(t *testing.T, cell http.HandlerFunc) *httptest.Server {
 	t.Helper()
+	return fakeShardConns(t, cell, nil)
+}
+
+// fakeShardConns is fakeShard with a ConnState hook, installed before
+// the server starts: setting it on a running server races its accept
+// loop.
+func fakeShardConns(t *testing.T, cell http.HandlerFunc, connState func(net.Conn, http.ConnState)) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"ok":true}`)
 	})
 	mux.HandleFunc("POST /v1/cell", cell)
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewUnstartedServer(mux)
+	ts.Config.ConnState = connState
+	ts.Start()
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -352,19 +362,16 @@ func TestFanOutConnectionBound(t *testing.T) {
 	for i := range targets {
 		conns[i] = new(atomic.Int64)
 		served[i] = new(atomic.Int64)
-		n := served[i]
-		ts := fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
+		n, c := served[i], conns[i]
+		targets[i] = fakeShardConns(t, func(w http.ResponseWriter, r *http.Request) {
 			n.Add(1)
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(serve.CellResponse{ErrClass: experiments.ErrClassRunFailed, ErrMsg: "synthetic"})
-		})
-		c := conns[i]
-		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		}, func(_ net.Conn, st http.ConnState) {
 			if st == http.StateNew {
 				c.Add(1)
 			}
-		}
-		targets[i] = ts.URL
+		}).URL
 	}
 	g := newGateway(t, Config{Targets: targets, PerShard: perShard})
 

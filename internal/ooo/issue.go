@@ -7,22 +7,31 @@ import (
 
 // issue selects up to IssueWidth ready instructions among the IQSize
 // oldest unissued entries and executes them, returning how many issued.
+// The window is the unissued list, walked oldest first; an entry is
+// ready once its wakeAt has passed. A squash cuts the list behind the
+// issuing entry, so the walk carries on over exactly the survivors.
 func (c *Core) issue(now uint64) int {
 	issued := 0
 	examined := 0
-	for i := 0; i < c.count && issued < c.cfg.IssueWidth && examined < c.cfg.IQSize; i++ {
-		e := c.at(i)
-		if e.issued {
+	c.wakeMin = never
+	for s := c.uHead; s >= 0 && issued < c.cfg.IssueWidth && examined < c.cfg.IQSize; {
+		q := &c.iq[s]
+		examined++
+		if q.wakeAt > now {
+			c.wakeMin = min(c.wakeMin, q.wakeAt)
+			s = q.next
 			continue
 		}
-		examined++
-		if c.tryExecute(e, i, now) {
-			issued++
-			// Squashes invalidate iteration state: restart scan.
-			if int(e.seq-c.headSeq) >= c.count {
-				break
-			}
+		e := &c.rob[s]
+		if !c.tryExecute(e, now) {
+			s = q.next
+			continue
 		}
+		issued++
+		c.wake(e)
+		next := q.next
+		c.unlinkUnissued(s)
+		s = next
 	}
 	if issued == 0 && c.count > 0 {
 		c.stats.EmptyIssueCycles++
@@ -30,54 +39,51 @@ func (c *Core) issue(now uint64) int {
 	return issued
 }
 
-// operand returns the value of source s of entry e if it is available at
-// cycle now.
-func (c *Core) operand(e *robEntry, s int, now uint64) (int64, bool) {
-	src := &e.src[s]
-	if !src.hasTag {
-		if src.reg == isa.RegZero {
-			return 0, true
+// wake delivers producer p's readyAt to every operand waiting on it;
+// a consumer whose last pending producer this was becomes wakeable.
+func (c *Core) wake(p *robEntry) {
+	for w := p.waiters; w >= 0; w = c.rob[w>>2].src[w&3].next {
+		q := &c.iq[w>>2]
+		q.opsAt = max(q.opsAt, p.readyAt)
+		if q.pending--; q.pending == 0 {
+			q.wakeAt = q.opsAt
 		}
-		return c.regs[src.reg], true
 	}
-	p := c.entryBySeq(src.tag)
-	if p == nil {
-		// Producer already committed; its value is architectural.
-		return c.regs[src.reg], true
-	}
-	if p.executed && p.readyAt <= now {
-		return p.value, true
-	}
-	return 0, false
+	p.waiters = -1
 }
 
-func (c *Core) operands(e *robEntry, now uint64) ([3]int64, bool) {
+// operands returns the source values of a ready entry e: an in-flight
+// producer's result, or the committed register file once the producer
+// has retired.
+func (c *Core) operands(e *robEntry) [3]int64 {
 	var vals [3]int64
 	for i := 0; i < e.nsrc; i++ {
-		v, ok := c.operand(e, i, now)
-		if !ok {
-			return vals, false
+		src := &e.src[i]
+		if src.hasTag {
+			if p := c.entryBySeq(src.tag); p != nil {
+				vals[i] = p.value
+				continue
+			}
 		}
-		vals[i] = v
+		if src.reg != isa.RegZero {
+			vals[i] = c.regs[src.reg]
+		}
 	}
-	return vals, true
+	return vals
 }
 
-// tryExecute attempts to issue entry e (at ROB index idx). It returns
-// true if the entry issued this cycle.
-func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
+// tryExecute attempts to issue the ready entry e. It returns true if
+// the entry issued this cycle.
+func (c *Core) tryExecute(e *robEntry, now uint64) bool {
 	in := e.in
-	vals, ready := c.operands(e, now)
-	if !ready {
-		return false
-	}
+	vals := c.operands(e)
 	switch in.Op.Class() {
 	case isa.ClassNop, isa.ClassHalt:
 		e.value = 0
 		e.readyAt = now
 	case isa.ClassBarrier:
 		// Serializing: only at the head.
-		if idx != 0 {
+		if e.seq != c.headSeq {
 			return false
 		}
 		e.readyAt = now + 1
@@ -85,16 +91,15 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 		e.value = isa.ALUResult(in, vals[0], vals[1])
 		e.readyAt = now + uint64(in.Op.Latency())
 	case isa.ClassLoad:
-		return c.issueLoad(e, idx, vals[0], now)
+		return c.issueLoad(e, vals[0], now)
 	case isa.ClassStore:
 		e.addr = uint64(vals[0] + int64(in.Imm))
 		e.msize = in.Op.MemWidth()
 		e.storeVal = vals[1]
 		e.addrValid = true
 		e.readyAt = now + 1
-		e.issued = true
 		e.executed = true
-		c.checkViolations(e, idx, now)
+		c.checkViolations(e, now)
 		return true
 	case isa.ClassBranch:
 		taken := isa.BranchTaken(in.Op, vals[0], vals[1])
@@ -102,7 +107,6 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 		c.m.Pred.UpdateDir(e.pc, taken, mis)
 		c.stats.Branches++
 		e.readyAt = now + 1
-		e.issued = true
 		e.executed = true
 		if mis {
 			c.stats.BranchMispred++
@@ -117,7 +121,6 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 	case isa.ClassJump:
 		e.value = int64(e.pc + isa.InstSize)
 		e.readyAt = now + 1
-		e.issued = true
 		e.executed = true
 		if in.Op == isa.OpJalr {
 			target := uint64(vals[0] + int64(in.Imm))
@@ -135,7 +138,7 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 		return true
 	case isa.ClassAtomic:
 		// Atomics execute non-speculatively at the ROB head.
-		if idx != 0 {
+		if e.seq != c.headSeq {
 			return false
 		}
 		addr := uint64(vals[0])
@@ -159,28 +162,23 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 		e.value = 0
 		e.readyAt = now + 1
 	}
-	e.issued = true
 	e.executed = true
 	return true
 }
 
 // issueLoad handles disambiguation, forwarding and timing for a load.
-func (c *Core) issueLoad(e *robEntry, idx int, base int64, now uint64) bool {
+func (c *Core) issueLoad(e *robEntry, base int64, now uint64) bool {
 	in := e.in
 	addr := uint64(base + int64(in.Imm))
 	size := in.Op.MemWidth()
 
-	// Disambiguation against older stores.
-	for i := 0; i < idx; i++ {
-		s := c.at(i)
-		if !s.in.Op.IsStore() {
-			continue
-		}
-		if !s.addrValid {
-			if c.cfg.SpecLoads {
-				continue // speculate past it; violation check will catch
+	// Disambiguation against older stores: the store FIFO up to the
+	// position this load recorded at fetch.
+	if !c.cfg.SpecLoads {
+		for p := c.stores.head; p < e.memPos; p++ {
+			if !c.rob[c.stores.at(p)&c.mask].addrValid {
+				return false // conservative: wait for the store to issue
 			}
-			return false // conservative: wait for the store to issue
 		}
 	}
 
@@ -197,9 +195,9 @@ func (c *Core) issueLoad(e *robEntry, idx int, base int64, now uint64) bool {
 		buf[i] = byte(raw >> (8 * i))
 	}
 	forwardedAll := size > 0
-	for i := 0; i < idx; i++ {
-		s := c.at(i)
-		if !s.in.Op.IsStore() || !s.addrValid {
+	for p := c.stores.head; p < e.memPos; p++ {
+		s := &c.rob[c.stores.at(p)&c.mask]
+		if !s.addrValid {
 			continue
 		}
 		overlayStore(buf, fromStore, addr, s.addr, s.msize, s.storeVal)
@@ -226,7 +224,6 @@ func (c *Core) issueLoad(e *robEntry, idx int, base int64, now uint64) bool {
 		c.stats.CountLoadLevel(res.Level)
 	}
 	c.stats.Loads++
-	e.issued = true
 	e.executed = true
 	return true
 }
@@ -246,13 +243,13 @@ func overlayStore(buf []byte, from []bool, base, saddr uint64, ssize int, sval i
 // checkViolations detects younger loads that issued speculatively past
 // this store and read stale data; the oldest violator and everything
 // younger are squashed and refetched.
-func (c *Core) checkViolations(st *robEntry, idx int, now uint64) {
+func (c *Core) checkViolations(st *robEntry, now uint64) {
 	if !c.cfg.SpecLoads {
 		return
 	}
-	for i := idx + 1; i < c.count; i++ {
-		l := c.at(i)
-		if !l.in.Op.IsLoad() || !l.issued || !l.addrValid {
+	for p := st.memPos; p < c.loads.tail; p++ {
+		l := &c.rob[c.loads.at(p)&c.mask]
+		if !l.addrValid { // not issued yet
 			continue
 		}
 		if rangesOverlap(l.addr, l.msize, st.addr, st.msize) {

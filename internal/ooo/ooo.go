@@ -78,9 +78,13 @@ func (s *Stats) PublishObs(r *obs.Registry) {
 }
 
 type source struct {
-	reg    uint8
 	tag    uint64 // producing seq, valid when hasTag
+	reg    uint8
 	hasTag bool
+	// next links the producer's wakeup list: the operand node (see
+	// robEntry.waiters) of the next older consumer waiting on the same
+	// producer, or -1.
+	next int32
 }
 
 type robEntry struct {
@@ -91,8 +95,16 @@ type robEntry struct {
 	src  [3]source
 	nsrc int
 
-	issued   bool
-	executed bool   // result value computed
+	// waiters heads this entry's wakeup list: operand nodes slot<<2|src
+	// of younger entries waiting on its result, newest first, or -1.
+	waiters int32
+	// memPos places a memory operation against the other kind's FIFO:
+	// for a load, the store FIFO tail at fetch (its older stores end
+	// there); for a store, the load FIFO tail (its younger loads start
+	// there).
+	memPos uint64
+
+	executed bool   // issued; result value computed
 	readyAt  uint64 // cycle the result is usable / entry committable
 	value    int64  // destination value
 
@@ -108,6 +120,47 @@ type robEntry struct {
 	hasPredTgt bool
 }
 
+// iqNode is an unissued entry's place in the issue window, kept in an
+// array beside the ROB (same slot) so the window walk touches a few
+// bytes per entry rather than a whole robEntry. pending counts source
+// producers that have not yet executed and opsAt is the latest readyAt
+// among those that have; wakeAt, the one number the walk checks, is
+// opsAt once nothing is pending and never before. prev/next link the
+// unissued entries in age order (slots, -1 = none); an entry leaves the
+// list when it issues or is squashed.
+type iqNode struct {
+	wakeAt     uint64
+	opsAt      uint64
+	prev, next int32
+	pending    uint8
+}
+
+// never is the wakeAt of an entry still waiting for a producer.
+const never = ^uint64(0)
+
+// seqFIFO is an age-ordered queue of the sequence numbers of in-flight
+// loads or stores. Positions are absolute (they only grow, except when
+// a squash cuts the tail), so an entry can record where its neighbours
+// of the other kind begin; the buffer is the ROB's power-of-two size.
+type seqFIFO struct {
+	seq        []uint64
+	head, tail uint64
+}
+
+func (f *seqFIFO) at(pos uint64) uint64 { return f.seq[pos&uint64(len(f.seq)-1)] }
+
+func (f *seqFIFO) push(seq uint64) {
+	f.seq[f.tail&uint64(len(f.seq)-1)] = seq
+	f.tail++
+}
+
+// cut drops every queued seq younger than seq from the tail.
+func (f *seqFIFO) cut(seq uint64) {
+	for f.tail > f.head && f.at(f.tail-1) > seq {
+		f.tail--
+	}
+}
+
 // Core is the out-of-order pipeline model.
 type Core struct {
 	cfg Config
@@ -118,12 +171,25 @@ type Core struct {
 	regTag [isa.NumRegs]uint64
 	tagOK  [isa.NumRegs]bool
 
-	rob     []robEntry // ring buffer
-	head    int
+	// rob is a ring of a power-of-two size >= ROBSize: the entry with
+	// sequence number seq lives in slot seq&mask, so the ring needs no
+	// head index and no division.
+	rob     []robEntry
+	mask    uint64
 	count   int
-	headSeq uint64 // seq of rob[head]
+	headSeq uint64 // seq of the oldest entry
 	nextSeq uint64
 	memOps  int // loads+stores currently in the ROB
+
+	// Issue window: the unissued entries in age order (slots, -1 =
+	// empty), linked through iq. wakeMin is the earliest wakeAt after
+	// the current cycle among the entries the last issue scan examined
+	// (never = none); it feeds nextTimer.
+	iq           []iqNode
+	uHead, uTail int32
+	wakeMin      uint64
+	// In-flight loads and stores, in age order.
+	loads, stores seqFIFO
 
 	// Fetch blocking conditions.
 	fetchBlockedSeq uint64 // waiting for this jalr to resolve
@@ -184,11 +250,22 @@ func New(m *cpu.Machine, cfg Config, entry uint64) *Core {
 	if cfg.LSQSize < 1 {
 		cfg.LSQSize = 1
 	}
+	n := 1
+	for n < cfg.ROBSize {
+		n <<= 1
+	}
 	return &Core{
-		cfg: cfg,
-		m:   m,
-		fe:  cpu.NewFrontend(m, entry),
-		rob: make([]robEntry, cfg.ROBSize),
+		cfg:     cfg,
+		m:       m,
+		fe:      cpu.NewFrontend(m, entry),
+		rob:     make([]robEntry, n),
+		mask:    uint64(n - 1),
+		iq:      make([]iqNode, n),
+		uHead:   -1,
+		uTail:   -1,
+		wakeMin: never,
+		loads:   seqFIFO{seq: make([]uint64, n)},
+		stores:  seqFIFO{seq: make([]uint64, n)},
 	}
 }
 
@@ -213,7 +290,7 @@ func (c *Core) Err() error { return c.err }
 // Regs returns the committed register file (for test validation).
 func (c *Core) Regs() [isa.NumRegs]int64 { return c.regs }
 
-func (c *Core) at(i int) *robEntry { return &c.rob[(c.head+i)%len(c.rob)] }
+func (c *Core) at(i int) *robEntry { return &c.rob[(c.headSeq+uint64(i))&c.mask] }
 
 // entryBySeq returns the ROB entry with the given seq, or nil if it has
 // already committed or been squashed.
@@ -285,12 +362,17 @@ func (c *Core) stallBucket(outstanding int) cpu.Bucket {
 	}
 }
 
-// nextTimer returns the earliest cycle strictly after now at which any
-// pending completion lands: an executed ROB entry's result (which can
-// unblock commit or a dependent issue), a fetch-line delivery, or an
-// in-flight L1D fill expiring (which changes MLP accounting). 0 = no
-// timer pending; a wedged core then falls back to naive stepping and the
-// livelock watchdog.
+// nextTimer returns the earliest cycle strictly after now at which a
+// pure-stall cycle's state can change: the head's result landing (which
+// unblocks commit), an examined window entry's operands becoming ready
+// (wakeMin, recorded by this cycle's issue scan), a fetch-line
+// delivery, or an in-flight L1D fill expiring (which changes MLP
+// accounting). Other executed entries' results change nothing until
+// the head commits or something issues: commit is in order, and a
+// window entry that is ready but did not issue (a barrier or atomic
+// off the head, a load waiting for an older store's address) waits on
+// exactly those events. 0 = no timer pending; a wedged core then falls
+// back to naive stepping and the livelock watchdog.
 func (c *Core) nextTimer(now uint64) uint64 {
 	var next uint64
 	bound := func(t uint64) {
@@ -298,9 +380,12 @@ func (c *Core) nextTimer(now uint64) uint64 {
 			next = t
 		}
 	}
-	for i := 0; i < c.count; i++ {
-		if e := c.at(i); e.executed {
-			bound(e.readyAt)
+	if c.wakeMin != never {
+		bound(c.wakeMin)
+	}
+	if c.count > 0 {
+		if h := c.at(0); h.executed {
+			bound(h.readyAt)
 		}
 	}
 	bound(c.fe.NextDelivery(now))
@@ -367,8 +452,7 @@ func (c *Core) fetch(now uint64) {
 			return
 		}
 
-		e := robEntry{seq: c.nextSeq, in: in, pc: pc}
-		c.captureSources(&e)
+		e := c.push(in, pc)
 		redirected := false
 
 		switch in.Op.Class() {
@@ -415,10 +499,6 @@ func (c *Core) fetch(now uint64) {
 			c.regTag[rd] = e.seq
 			c.tagOK[rd] = true
 		}
-		if in.Op.IsMem() {
-			c.memOps++
-		}
-		c.push(e)
 		if !redirected {
 			c.fe.Advance()
 		}
@@ -430,24 +510,82 @@ func (c *Core) fetch(now uint64) {
 
 // captureSources records, per source register, either a dependence tag
 // on an in-flight producer or the fact that the committed register file
-// will hold the value.
-func (c *Core) captureSources(e *robEntry) {
+// will hold the value. An operand whose producer has already executed
+// folds the producer's readyAt into opsAt; one whose producer has not
+// joins that producer's wakeup list and counts as pending.
+func (c *Core) captureSources(e *robEntry, q *iqNode) {
 	srcs, n := e.in.SrcRegs()
 	e.nsrc = n
 	for i := 0; i < n; i++ {
 		r := srcs[i]
-		e.src[i] = source{reg: r}
-		if r != isa.RegZero && c.tagOK[r] {
-			e.src[i].tag = c.regTag[r]
-			e.src[i].hasTag = true
+		s := &e.src[i]
+		*s = source{reg: r, next: -1}
+		if r == isa.RegZero || !c.tagOK[r] {
+			continue
 		}
+		s.tag, s.hasTag = c.regTag[r], true
+		p := &c.rob[s.tag&c.mask]
+		if p.executed {
+			q.opsAt = max(q.opsAt, p.readyAt)
+			continue
+		}
+		s.next = p.waiters
+		p.waiters = int32(e.seq&c.mask)<<2 | int32(i)
+		q.pending++
+	}
+	q.wakeAt = never
+	if q.pending == 0 {
+		q.wakeAt = q.opsAt
 	}
 }
 
-func (c *Core) push(e robEntry) {
-	c.rob[(c.head+c.count)%len(c.rob)] = e
+// push builds the next ROB entry in its slot, captures its sources
+// (before the caller renames its destination) and links it into the
+// issue window and, for a load or store, the memory FIFOs.
+func (c *Core) push(in isa.Inst, pc uint64) *robEntry {
+	slot := int32(c.nextSeq & c.mask)
+	e := &c.rob[slot]
+	*e = robEntry{}
+	e.seq, e.in, e.pc = c.nextSeq, in, pc
+	e.waiters = -1
+	q := &c.iq[slot]
+	*q = iqNode{prev: c.uTail, next: -1}
+	c.captureSources(e, q)
+	if c.uTail >= 0 {
+		c.iq[c.uTail].next = slot
+	} else {
+		c.uHead = slot
+	}
+	c.uTail = slot
+	switch {
+	case in.Op.IsLoad():
+		e.memPos = c.stores.tail
+		c.loads.push(e.seq)
+	case in.Op.IsStore():
+		e.memPos = c.loads.tail
+		c.stores.push(e.seq)
+	}
+	if in.Op.IsMem() {
+		c.memOps++
+	}
 	c.count++
 	c.nextSeq++
+	return e
+}
+
+// unlinkUnissued removes the entry at slot from the issue window.
+func (c *Core) unlinkUnissued(slot int32) {
+	q := &c.iq[slot]
+	if q.prev >= 0 {
+		c.iq[q.prev].next = q.next
+	} else {
+		c.uHead = q.next
+	}
+	if q.next >= 0 {
+		c.iq[q.next].prev = q.prev
+	} else {
+		c.uTail = q.prev
+	}
 }
 
 // commit retires up to CommitWidth completed instructions from the head.
@@ -480,7 +618,12 @@ func (c *Core) commit(now uint64) {
 		if in.Op.IsMem() {
 			c.memOps--
 		}
-		c.head = (c.head + 1) % len(c.rob)
+		switch {
+		case in.Op.IsLoad():
+			c.loads.head++
+		case in.Op.IsStore():
+			c.stores.head++
+		}
 		c.count--
 		c.headSeq++
 		if c.done {
@@ -505,6 +648,23 @@ func (c *Core) squashAfter(seq uint64, target uint64, now, penalty uint64) {
 	}
 	c.count = keep
 	c.nextSeq = c.headSeq + uint64(keep)
+	// Cut the squashed entries out of the issue window and the memory
+	// FIFOs, then out of the wakeup lists of the producers still in the
+	// window. Those are the only lists left: wake empties a producer's
+	// list when it issues, and the squashing entry leaves the window
+	// only after the squash. Each list is newest first, so its squashed
+	// consumers are a prefix.
+	for c.uTail >= 0 && c.rob[c.uTail].seq > seq {
+		c.unlinkUnissued(c.uTail)
+	}
+	c.loads.cut(seq)
+	c.stores.cut(seq)
+	for s := c.uHead; s >= 0; s = c.iq[s].next {
+		p := &c.rob[s]
+		for w := p.waiters; w >= 0 && c.rob[w>>2].seq > seq; w = p.waiters {
+			p.waiters = c.rob[w>>2].src[w&3].next
+		}
+	}
 	// Rebuild the rename map from surviving entries.
 	for i := range c.tagOK {
 		c.tagOK[i] = false

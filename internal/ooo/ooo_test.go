@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rocksim/internal/asm"
@@ -274,5 +276,67 @@ func TestLSQCapacityBlocksFetch(t *testing.T) {
 	mustRun(t, c, 100_000)
 	if c.Retired() != 10 {
 		t.Errorf("retired = %d", c.Retired())
+	}
+}
+
+// TestViolationTimingPinned pins the exact timing of memory-order
+// violation handling, which the test-scale workloads barely exercise.
+// Each block's store address waits on a missing load while younger
+// loads, some aliasing the store fully or partly, issue early and
+// must be squashed from the oldest violator on. The expected lines
+// were recorded from the ROB-walking scheduler this model replaced; a
+// change to which load is squashed, or when, moves them.
+func TestViolationTimingPinned(t *testing.T) {
+	gen := func(b *asm.Builder) {
+		b.Movi(1, 0x20000)
+		b.Movi(4, 0x5555)
+		for k := int32(0); k < 8; k++ {
+			off := k * 0x1000
+			b.Ld(isa.OpLd64, 2, 1, off) // miss: the store address waits on it
+			b.Op(isa.OpAdd, 3, 1, 2)    // r3 = r1 + 64
+			b.St(isa.OpSt64, 4, 3, off)
+			if k < 4 {
+				b.Ld(isa.OpLd64, 5, 1, off+128) // younger, no alias
+			}
+			if k%2 == 0 {
+				b.Ld(isa.OpLd32, 6, 1, off+68) // younger, partial alias
+				b.Ld(isa.OpLd64, 7, 1, off+64) // younger, full alias
+			} else {
+				b.Ld(isa.OpLd64, 7, 1, off+64)
+				b.Ld(isa.OpLd32, 6, 1, off+68)
+			}
+			b.Op(isa.OpAdd, 8, 8, 6)
+			b.Op(isa.OpAdd, 8, 8, 7)
+			b.Opi(isa.OpAddi, 4, 4, 1)
+		}
+		b.Halt()
+	}
+	var got []string
+	for _, cfg := range []struct {
+		name string
+		cfg  Config
+	}{{"small", SmallConfig()}, {"large", LargeConfig()}} {
+		for _, spec := range []bool{true, false} {
+			c := cfg.cfg
+			c.SpecLoads = spec
+			core, mach := build(t, c, gen)
+			for k := uint64(0); k < 8; k++ {
+				mach.Mem.Write(0x20000+k*0x1000, 8, 64)
+			}
+			mustRun(t, core, 100_000)
+			s := core.Stats()
+			got = append(got, fmt.Sprintf("%s spec=%t cycles=%d retired=%d viol=%d squash=%d wrong=%d empty=%d robfull=%d r8=%d",
+				cfg.name, spec, core.Cycle(), s.Retired, s.MemOrderViolations, s.Squashes,
+				s.WrongPathInsts, s.EmptyIssueCycles, s.ROBFullCycles, core.Regs()[8]))
+		}
+	}
+	want := []string{
+		"small spec=true cycles=2218 retired=71 viol=4 squash=4 wrong=9 empty=1888 robfull=0 r8=174788",
+		"small spec=false cycles=2173 retired=71 viol=0 squash=0 wrong=0 empty=1893 robfull=0 r8=174788",
+		"large spec=true cycles=1995 retired=71 viol=3 squash=3 wrong=11 empty=1677 robfull=0 r8=174788",
+		"large spec=false cycles=1940 retired=71 viol=0 squash=0 wrong=0 empty=1686 robfull=0 r8=174788",
+	}
+	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+		t.Errorf("violation timing moved:\n got\n%s\n want\n%s", g, w)
 	}
 }

@@ -15,21 +15,26 @@ func (c Config) Fingerprint() string {
 }
 
 // Reset returns the core to its freshly constructed state, executing
-// from entry, without reallocating. The ROB ring's entries are not
-// zeroed: push() fully overwrites a slot on allocation and head/count
-// make stale slots unreachable, so clearing them would only burn
-// cycles. The caller resets the shared machine separately (see
-// cpu.Machine.Reset) and reinstalls per-run sinks afterwards.
+// from entry, without reallocating. The ROB ring's entries, their
+// issue-window nodes and the FIFO buffers are not zeroed: push() fully
+// overwrites a slot on allocation, and headSeq/count, the window's
+// list heads and the FIFO positions make stale slots unreachable, so
+// clearing them would only burn cycles. The caller resets the shared
+// machine separately (see cpu.Machine.Reset) and reinstalls per-run
+// sinks afterwards.
 func (c *Core) Reset(entry uint64) {
 	c.fe.Reset(entry)
 	c.regs = [isa.NumRegs]int64{}
 	c.regTag = [isa.NumRegs]uint64{}
 	c.tagOK = [isa.NumRegs]bool{}
-	c.head = 0
 	c.count = 0
 	c.headSeq = 0
 	c.nextSeq = 0
 	c.memOps = 0
+	c.uHead, c.uTail = -1, -1
+	c.wakeMin = never
+	c.loads.head, c.loads.tail = 0, 0
+	c.stores.head, c.stores.tail = 0, 0
 	c.fetchBlockedSeq = 0
 	c.fetchBlocked = false
 	c.fetchGarbage = false
