@@ -1,7 +1,7 @@
 # Verification tiers. tier1 is the gate every change must keep green
-# (build, vet, tests, plus vet and tests of the separate perfbench
-# module, which root `go build ./...` never compiles but which imports
-# the serve/gate/client API); tier2 adds the race detector (the experiment
+# (a gofmt-clean tree, build, vet, tests, plus vet and tests of the
+# separate perfbench module, which root `go build ./...` never compiles
+# but which imports the serve/gate/client API); tier2 adds the race detector (the experiment
 # harness runs simulations on a worker pool, so -race now guards real
 # concurrency), a parallel-determinism smoke that diffs sstbench -j 4
 # against -j 1, the fault-fuzz smoke (fixed seeds, bounded wall-clock)
@@ -22,6 +22,7 @@ GO ?= go
 all: tier1
 
 tier1:
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -58,14 +59,14 @@ smoke-parallel:
 
 tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke stress bench-guard
 
-# Repeat the two tests that used to fail intermittently: the gate's
+# Repeat the tests that used to fail intermittently: the gate's
 # connection-bound test under the race detector (it once set ConnState
-# on a running server) and the pool-reuse test (sync.Pool's per-P slot
-# missed when the worker migrated between Put and Get). 19 s of wall
-# time on a 2-CPU host with a warm build cache.
+# on a running server) and the two pool-reuse tests (sync.Pool's per-P
+# slot missed when the worker migrated between Put and Get). About 20 s
+# of wall time on a 2-CPU host with a warm build cache.
 stress:
 	$(GO) test -race -count=10 ./internal/gate -run TestFanOutConnectionBound
-	$(GO) test -count=60 ./internal/experiments -run 'TestPoolReusesInstances$$'
+	$(GO) test -count=60 ./internal/experiments -run 'TestPoolReuses(Instances|AfterWatchdogError)$$'
 
 # Bounded coverage-guided session of the native differential fuzz
 # target (internal/sim FuzzDifferential): the mutator drives the

@@ -146,7 +146,7 @@ func (c *Core) aheadInst(in isa.Inst, pc uint64, now uint64) (cont, redirected b
 			return true, false
 		default:
 			// Serialize: stall until every epoch commits.
-			c.stats.AtomicStallCycles++
+			c.stall(stallAtomic)
 			return false, false
 		}
 
@@ -162,7 +162,7 @@ func (c *Core) aheadInst(in isa.Inst, pc uint64, now uint64) (cont, redirected b
 		case ModeScout:
 			return true, false
 		default:
-			c.stats.AtomicStallCycles++
+			c.stall(stallAtomic)
 			return false, false
 		}
 
@@ -311,54 +311,75 @@ func (c *Core) deferResult(rd uint8, val int64, ready uint64, pc uint64, seq uin
 		// Scouting: results still arrive and unblock dependents.
 	}
 	c.markNA(rd, seq)
-	if len(c.pend) == 0 || ready < c.pendMin {
-		c.pendMin = ready
-	}
-	c.pend = append(c.pend, pendingResult{seq: seq, rd: rd, val: val, ready: ready})
+	c.pendInsert(pendingResult{seq: seq, rd: rd, val: val, ready: ready, cons: -1})
 	c.stats.PendingMisses++
 	return true
 }
 
-// deferToDQ appends an instruction to the Deferred Queue. Returns false
-// when the instruction could not be consumed (DQ full → stall or scout).
+// deferToDQ builds an instruction's entry in a free DQ slot at the
+// young end of the queue, linking each NA operand onto its producer's
+// consumer list. A store whose address is available is recorded for
+// loadBlockedByDeferredStore. Returns false when the instruction could
+// not be consumed (DQ full → stall or scout).
 func (c *Core) deferToDQ(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, predTaken bool, predTarget uint64) bool {
 	limit := c.cfg.DQSize
 	if c.flt != nil {
-		limit = c.flt.ClampDQ(c.cycle, limit)
+		if limit = c.flt.ClampDQ(c.cycle, limit); limit < c.cfg.DQSize {
+			c.activity++ // the clamp recorded an injection
+		}
 	}
-	if len(c.dq) >= limit {
+	if c.dqLen >= limit {
 		// The scout decision stays keyed on the *configured* size: an
 		// injected clamp models a transiently unusable queue, not the
 		// scout ablation's absent one.
 		if c.cfg.ScoutOnDQFull || c.cfg.DQSize == 0 {
 			c.enterScout()
 		} else {
-			c.stats.DQFullStallCycles++
+			c.stall(stallDQ)
 		}
 		return false
 	}
-	e := dqEntry{seq: seq, in: in, pc: pc, predTaken: predTaken, predTarget: predTarget}
+	s := c.dqFree[len(c.dqFree)-1]
+	c.dqFree = c.dqFree[:len(c.dqFree)-1]
+	e := &c.dqs[s]
+	*e = dqEntry{seq: seq, in: in, pc: pc, vals: vals, predTaken: predTaken, predTarget: predTarget,
+		prev: c.dqTail, next: -1, cons: -1}
 	srcs, n := in.SrcRegs()
-	e.nsrc = n
 	for i := 0; i < n; i++ {
-		e.vals[i] = vals[i]
-		if isNA[i] {
-			e.isNA[i] = true
-			e.dep[i] = c.lastWriter[srcs[i]]
+		if !isNA[i] {
+			continue
 		}
+		r := srcs[i]
+		dep := c.lastWriter[r]
+		head := c.producerList(r, dep)
+		if head == nil {
+			c.err = fmt.Errorf("core: deferred operand r%d of seq %d has no live producer (seq %d)", r, seq, dep)
+			return false
+		}
+		e.isNA[i] = true
+		e.dep[i] = dep
+		e.link[i] = *head
+		*head = consumerNode(s, i)
 	}
-	c.dq = append(c.dq, e)
+	if c.dqTail >= 0 {
+		c.dqs[c.dqTail].next = s
+	} else {
+		c.dqHead = s
+	}
+	c.dqTail = s
+	c.dqLen++
 	if !(e.isNA[0] || e.isNA[1] || e.isNA[2]) {
-		// Deferral is always keyed on an NA operand today, but keep the
-		// ready count correct if an always-ready entry ever lands here.
-		c.dqReady++
+		// A load held behind a known-address deferred store has no NA
+		// operand: it is ready at once.
+		c.readyInsert(s)
 	}
 	c.stats.Deferrals++
-	if in.Op.IsStore() {
-		c.dqStores++
+	if in.Op.IsStore() && !isNA[0] {
+		c.dqAddrStores = append(c.dqAddrStores, s)
 	}
 	if rd, has := in.DestReg(); has {
 		c.markNA(rd, seq)
+		c.dqProd[rd] = s
 	}
 	return true
 }
@@ -395,23 +416,13 @@ func (c *Core) aheadStore(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isN
 		return true, false
 	default:
 		if anyNA {
-			if !c.deferToDQ(in, pc, seq, vals, isNA, false, 0) {
-				return false, false
-			}
-			// Record what we know about the deferred store's address so
-			// later loads can disambiguate against it. A store whose
-			// address is NA is verified against the read set at replay
-			// instead.
-			e := &c.dq[len(c.dq)-1]
-			if !isNA[0] {
-				e.memAddrKnown = true
-				e.memAddr = addr
-				e.memSize = in.Op.MemWidth()
-			}
-			return true, false
+			// A store whose address is known joins the disambiguation
+			// list for later loads; one whose address is NA is verified
+			// against the read set at replay instead.
+			return c.deferToDQ(in, pc, seq, vals, isNA, false, 0), false
 		}
 		if !c.ssbInsert(ssbEntry{seq: seq, addr: addr, size: in.Op.MemWidth(), val: vals[1]}) {
-			c.stats.SSBFullStallCycles++
+			c.stall(stallSSB)
 			return false, false
 		}
 		if c.cfg.SecureDelayOnMiss || c.cfg.SecureEagerSSBFlush {
@@ -426,6 +437,7 @@ func (c *Core) aheadStore(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isN
 }
 
 func (c *Core) aheadBranch(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
+	c.activity++ // predictor access, even when the branch then stalls
 	if anyNA {
 		// Deferred branch: follow the prediction; replay verifies.
 		predTaken := c.m.Pred.PredictDir(pc)
@@ -487,6 +499,7 @@ func (c *Core) aheadJump(in isa.Inst, pc uint64, seq uint64, vals [3]int64, anyN
 		return true, true
 	}
 	// jalr
+	c.activity++ // predictor access, even when the jump then stalls
 	if anyNA {
 		// Target depends on a deferred value: predict it and defer the
 		// verification (except in scout, where we just follow it).

@@ -14,6 +14,7 @@ func (c *Core) takeCheckpoint(pc uint64) bool {
 	if len(c.ckpts) >= c.cfg.Checkpoints {
 		return false
 	}
+	c.activity++ // a take, or a recorded injected denial
 	if c.flt.DenyCheckpoint(c.cycle) {
 		// Injected allocation failure: identical to checkpoint exhaustion,
 		// so callers fall back to their no-checkpoint paths.
@@ -53,18 +54,15 @@ func (c *Core) epochOf(seq uint64) int {
 
 // oldestUnresolvedSeq returns the smallest sequence number that is still
 // speculative: an unreplayed DQ entry or an undelivered pending result.
+// Both are kept in seq order, so it is the older of the two heads.
 // Returns c.seq when everything has resolved.
 func (c *Core) oldestUnresolvedSeq() uint64 {
 	oldest := c.seq
-	for i := range c.dq {
-		if c.dq[i].seq < oldest {
-			oldest = c.dq[i].seq
-		}
+	if c.dqHead >= 0 {
+		oldest = c.dqs[c.dqHead].seq
 	}
-	for i := range c.pend {
-		if c.pend[i].seq < oldest {
-			oldest = c.pend[i].seq
-		}
+	if len(c.pend) > 0 && c.pend[0].seq < oldest {
+		oldest = c.pend[0].seq
 	}
 	return oldest
 }
@@ -92,6 +90,7 @@ func (c *Core) commitEpochs(now uint64) {
 			c.resolveDirty = false
 			return
 		}
+		c.activity++
 		c.drainSSB(boundary, now)
 		// Account architectural retirement for the committed epoch.
 		endProcessed := c.processed
@@ -194,21 +193,8 @@ func (c *Core) rollback(idx int, now uint64, cause RollbackCause) {
 
 	// Squash speculative state younger than the checkpoint.
 	cut := ck.startSeq
-	dq := c.dq[:0]
-	c.dqStores = 0
-	c.dqReady = 0
-	for _, e := range c.dq {
-		if e.seq < cut {
-			dq = append(dq, e)
-			if e.in.Op.IsStore() {
-				c.dqStores++
-			}
-			if !(e.isNA[0] || e.isNA[1] || e.isNA[2]) {
-				c.dqReady++
-			}
-		}
-	}
-	c.dq = dq
+	c.activity++
+	c.squashDQ(cut)
 	rs := c.readSet[:0]
 	for _, r := range c.readSet {
 		if r.seq < cut {
@@ -225,16 +211,14 @@ func (c *Core) rollback(idx int, now uint64, cause RollbackCause) {
 	c.ssb = ssb
 	pend := c.pend[:0]
 	var pendMin uint64
-	c.secPending = 0
+	c.secDelayHeld, c.secSSBHeld, c.secQuarHeld = 0, 0, 0
 	for _, p := range c.pend {
 		if p.seq < cut {
 			pend = append(pend, p)
 			if pendMin == 0 || p.ready < pendMin {
 				pendMin = p.ready
 			}
-			if p.blocked || p.quarantined {
-				c.secPending++
-			}
+			c.countHeld(&p, 1)
 		}
 	}
 	c.pend = pend
@@ -283,6 +267,7 @@ func (c *Core) enterScout() {
 		return
 	}
 	c.mode = ModeScout
+	c.activity++
 	c.stats.ScoutEntries++
 	if c.sink != nil {
 		c.sink.Event(c.cycle, "mode", "scout", "deferral impossible: prefetch-only mode")
@@ -296,12 +281,9 @@ func (c *Core) enterScout() {
 // armScoutTrigger picks the oldest outstanding pending result as the
 // scout-exit trigger.
 func (c *Core) armScoutTrigger() {
-	c.scoutArmed = false
-	for _, p := range c.pend {
-		if !c.scoutArmed || p.seq < c.scoutTriggerSeq {
-			c.scoutTriggerSeq = p.seq
-			c.scoutArmed = true
-		}
+	c.scoutArmed = len(c.pend) > 0
+	if c.scoutArmed {
+		c.scoutTriggerSeq = c.pend[0].seq
 	}
 }
 
@@ -310,8 +292,11 @@ func (c *Core) armScoutTrigger() {
 func (c *Core) maybeScoutRollback(now uint64) {
 	if c.scoutArmed {
 		for _, p := range c.pend {
-			if p.seq == c.scoutTriggerSeq {
-				return // still outstanding
+			if p.seq >= c.scoutTriggerSeq {
+				if p.seq == c.scoutTriggerSeq {
+					return // still outstanding
+				}
+				break
 			}
 		}
 	}
@@ -323,15 +308,10 @@ func (c *Core) maybeScoutRollback(now uint64) {
 // (data still NA). Deferred stores with unknown addresses do not block —
 // they verify against the read set at replay time instead.
 func (c *Core) loadBlockedByDeferredStore(addr uint64, size int) bool {
-	if c.dqStores == 0 {
-		return false
-	}
-	for i := range c.dq {
-		e := &c.dq[i]
-		if !e.memAddrKnown {
-			continue
-		}
-		if e.memAddr < addr+uint64(size) && addr < e.memAddr+uint64(e.memSize) {
+	for _, s := range c.dqAddrStores {
+		e := &c.dqs[s]
+		sa := uint64(e.vals[0] + int64(e.in.Imm))
+		if sa < addr+uint64(size) && addr < sa+uint64(e.in.Op.MemWidth()) {
 			return true
 		}
 	}
@@ -359,7 +339,9 @@ func (c *Core) readSetConflict(storeSeq uint64, addr uint64, size int) bool {
 func (c *Core) ssbInsert(e ssbEntry) bool {
 	limit := c.cfg.SSBSize
 	if c.flt != nil {
-		limit = c.flt.ClampSSB(c.cycle, limit)
+		if limit = c.flt.ClampSSB(c.cycle, limit); limit < c.cfg.SSBSize {
+			c.activity++ // the clamp recorded an injection
+		}
 	}
 	if limit <= 0 || len(c.ssb) >= limit {
 		return false

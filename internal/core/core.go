@@ -24,6 +24,8 @@
 package core
 
 import (
+	"fmt"
+
 	"rocksim/internal/cpu"
 	"rocksim/internal/faults"
 	"rocksim/internal/isa"
@@ -147,6 +149,34 @@ func ScoutConfig() Config {
 	c.SecondStrand = false
 	c.Checkpoints = 1
 	return c
+}
+
+// Bounds Validate enforces. The core sizes its deferred-queue slots,
+// ready list and checkpoint store from the configuration in New, so an
+// unbounded request would be an unbounded allocation.
+const (
+	maxCheckpoints = 64
+	maxQueueSize   = 1 << 16 // DQSize and SSBSize
+	maxWidth       = 64      // Width and ReplayWidth
+)
+
+// Validate reports the first field outside the bounds the core can
+// honour. Values New clamps (a width below one, a negative checkpoint
+// count) stay accepted.
+func (c Config) Validate() error {
+	switch {
+	case c.Checkpoints > maxCheckpoints:
+		return fmt.Errorf("core: Checkpoints %d exceeds %d", c.Checkpoints, maxCheckpoints)
+	case c.DQSize < 0 || c.DQSize > maxQueueSize:
+		return fmt.Errorf("core: DQSize %d outside [0, %d]", c.DQSize, maxQueueSize)
+	case c.SSBSize < 0 || c.SSBSize > maxQueueSize:
+		return fmt.Errorf("core: SSBSize %d outside [0, %d]", c.SSBSize, maxQueueSize)
+	case c.Width > maxWidth:
+		return fmt.Errorf("core: Width %d exceeds %d", c.Width, maxWidth)
+	case c.ReplayWidth > maxWidth:
+		return fmt.Errorf("core: ReplayWidth %d exceeds %d", c.ReplayWidth, maxWidth)
+	}
+	return nil
 }
 
 // Mode is the operating mode of the core.
@@ -307,25 +337,27 @@ type checkpoint struct {
 	cpi [cpu.NumBuckets]uint64
 }
 
-// dqEntry is one deferred instruction with its captured operands.
+// dqEntry is one deferred instruction with its captured operands. It
+// lives in a stable slot of Core.dqs from deferral to replay or squash
+// (see replay.go for the queue's links and invariants).
 type dqEntry struct {
-	seq  uint64
+	seq  uint64 // 0 while the slot is free
 	in   isa.Inst
 	pc   uint64
-	vals [3]int64  // captured available operand values
+	vals [3]int64  // captured operand values; NA ones are filled by wake
 	dep  [3]uint64 // producing seq for NA operands
 	isNA [3]bool
-	nsrc int
 
 	predTaken  bool   // deferred conditional branch prediction
 	predTarget uint64 // deferred indirect target prediction
 
-	// For deferred stores whose address was available (only the data
-	// was NA): later loads disambiguate against this address instead of
-	// deferring unconditionally.
-	memAddrKnown bool
-	memAddr      uint64
-	memSize      int
+	// prev and next link the live entries oldest to youngest (-1 ends).
+	prev, next int32
+	// cons heads the list of NA operands waiting on this entry's result,
+	// newest first; link[i] continues the list operand i is on (see
+	// consumerNode).
+	cons int32
+	link [3]int32
 }
 
 // pendingResult is an in-flight deferred value: a missing load or a
@@ -335,6 +367,10 @@ type pendingResult struct {
 	rd    uint8
 	val   int64
 	ready uint64
+	// cons heads the list of DQ operands waiting on this value (see
+	// dqEntry.cons); a replayed load that misses carries its entry's
+	// list over.
+	cons int32
 
 	// Secure-speculation hold state (see secure.go). A blocked entry has
 	// not performed its memory access yet (ready is the secureHold
@@ -378,9 +414,25 @@ type Core struct {
 	mode  Mode
 	seq   uint64 // next sequence number (monotonic, never rewinds)
 	ckpts []checkpoint
-	dq    []dqEntry
 	ssb   []ssbEntry
-	pend  []pendingResult
+	// pend is sorted by seq, so pend[0] is the oldest pending result.
+	pend []pendingResult
+
+	// The Deferred Queue, in stable slots sized DQSize at New (see
+	// replay.go): dqs holds the entries, dqHead/dqTail the age-ordered
+	// list of the dqLen live ones, dqFree the unused slots. dqReady holds
+	// the slots whose operands have all resolved, youngest first, so the
+	// replay strand pops the oldest from its end. dqAddrStores holds the
+	// deferred stores whose address is known. dqProd[r] is the slot of
+	// the entry that marked r NA, valid while that entry's seq is
+	// lastWriter[r].
+	dqs            []dqEntry
+	dqFree         []int32
+	dqHead, dqTail int32
+	dqLen          int
+	dqReady        []int32
+	dqAddrStores   []int32
+	dqProd         [isa.NumRegs]int32
 
 	// pendMin is the earliest ready cycle among pend entries (meaningful
 	// only while pend is non-empty); deliver scans the list only once the
@@ -393,15 +445,6 @@ type Core struct {
 	// still waiting on a short-latency producer and nextTimer can skip
 	// the scoreboard scan entirely.
 	sbHorizon uint64
-
-	dqStores int // deferred stores currently in the DQ
-
-	// dqReady counts DQ entries whose operands have all resolved, so the
-	// replay strand's oldest-ready scan short-circuits to nothing when
-	// every entry is still waiting (the common state while misses are
-	// outstanding). Maintained by forward (an entry's last NA flag
-	// clears), replay (a ready entry dequeues) and rollback (squash).
-	dqReady int
 
 	// readSet records speculative ahead-strand loads (seq-ordered).
 	// A deferred store whose address was unknown verifies against it at
@@ -460,22 +503,32 @@ type Core struct {
 	resolveDirty bool
 
 	// quiet records that the previous Step made no progress; stall
-	// detection (the purity snapshot in skip.go) only runs on a cycle
-	// whose predecessor was already quiet, keeping the snapshot off the
-	// busy path. A stall window is merely detected one cycle later.
-	// snapBuf is the reused snapshot buffer for those detection cycles.
-	quiet   bool
-	snapBuf stepSnap
+	// detection (skip.go) only runs on a cycle whose predecessor was
+	// already quiet, keeping nextTimer off the busy path. A stall window
+	// is merely detected one cycle later.
+	quiet bool
+
+	// activity counts the events that make a cycle unskippable: every
+	// delivery, replay, commit, rollback, checkpoint take or denial,
+	// scout entry, transaction abort, secure release, predictor access
+	// and fault-injector clamp. A stall cycle that leaves it unchanged is
+	// pure (see skip.go).
+	activity uint64
+
+	// stalled records the per-cycle stall counters this Step bumped
+	// (see skip.go). Reset at Step entry.
+	stalled stallSet
 
 	// feStall records that the ahead strand broke on the frontend this
 	// Step (redirect bubble, line fill, or wrong-path garbage), for the
 	// CPI-stack attribution of stall cycles. Reset at Step entry.
 	feStall bool
 
-	// secPending counts pend entries currently held by a secure mode
-	// (blocked or quarantined); the per-cycle release scan in secure.go
-	// is gated on it so insecure runs pay nothing.
-	secPending int
+	// Held pend entries by kind (see secure.go): blocked by
+	// SecureDelayOnMiss, blocked by SecureEagerSSBFlush, and quarantined
+	// with the access done. The per-cycle release step is gated on their
+	// sum, so insecure runs pay nothing.
+	secDelayHeld, secSSBHeld, secQuarHeld int
 
 	// specFills logs the seq of every speculative access that started a
 	// cache fill while secrets were installed (see secure.go); rollback
@@ -487,16 +540,11 @@ type Core struct {
 	// and MLP contributions, and nothing can change before ffNext (see
 	// skip.go). Self-expiring: once the clock reaches ffNext, NextEvent
 	// reports no skip and the next Step re-derives everything.
-	ffNext     uint64
-	ffKind     CycleKind
-	ffBucket   cpu.Bucket
-	ffDQStall  uint64
-	ffSSBStall uint64
-	ffAtStall  uint64
-	ffSecDelay uint64
-	ffSecNoFwd uint64
-	ffSecSSB   uint64
-	ffMLP      int
+	ffNext   uint64
+	ffKind   CycleKind
+	ffBucket cpu.Bucket
+	ffStall  stallSet
+	ffMLP    int
 
 	stats Stats
 }
@@ -523,6 +571,11 @@ func New(m *cpu.Machine, cfg Config, entry uint64) *Core {
 	if cfg.Checkpoints > 0 {
 		c.ckpts = make([]checkpoint, 0, cfg.Checkpoints)
 	}
+	c.dqs = make([]dqEntry, cfg.DQSize)
+	c.dqFree = make([]int32, 0, cfg.DQSize)
+	c.dqReady = make([]int32, 0, cfg.DQSize)
+	c.dqAddrStores = make([]int32, 0, cfg.DQSize)
+	c.dqClear()
 	c.seq = 1 // seq 0 reserved so lastWriter==0 means "no producer"
 	if m.Coherent {
 		// Shared-memory chip: watch remote stores so speculative loads
@@ -580,12 +633,9 @@ func (c *Core) Step() {
 	now := c.cycle
 	c.ffNext = 0
 	c.feStall = false
-	dq0, ssb0, at0 := c.stats.DQFullStallCycles, c.stats.SSBFullStallCycles, c.stats.AtomicStallCycles
-	sd0, snf0, sfl0 := c.stats.SecureDelayStallCycles, c.stats.SecureNoFwdStallCycles, c.stats.SecureSSBStallCycles
+	c.stalled = 0
+	act0 := c.activity
 	checkStall := c.quiet
-	if checkStall {
-		c.snapInto(&c.snapBuf)
-	}
 
 	c.deliver(now)
 	if c.tx.active && c.tx.abort != 0 {
@@ -636,21 +686,21 @@ func (c *Core) Step() {
 
 	kind := c.classifyCycle(executed, replayed)
 	if c.sink != nil {
-		c.occ[0], c.occ[1], c.occ[2], c.occ[3] = len(c.dq), len(c.ssb), len(c.ckpts), len(c.pend)
+		c.occ[0], c.occ[1], c.occ[2], c.occ[3] = c.dqLen, len(c.ssb), len(c.ckpts), len(c.pend)
 		c.sink.CycleState(now, c.mode.String(), executed, replayed, c.occ[:])
 	}
 	outstanding := c.m.Hier.OutstandingDataMisses(c.m.CoreID, now)
 	c.stats.SampleMLP(outstanding)
-	bucket := c.classifyBucket(executed, replayed, dq0, ssb0, at0, sd0, snf0, sfl0, outstanding)
+	bucket := c.classifyBucket(executed, replayed, outstanding)
 	c.stats.CPI[bucket]++
-	c.stats.DQOcc.Add(len(c.dq))
+	c.stats.DQOcc.Add(c.dqLen)
 	c.stats.SSBOcc.Add(len(c.ssb))
 	c.stats.CkptOcc.Add(len(c.ckpts))
 	c.stats.Cycles++
 	c.cycle++
 	c.quiet = executed == 0 && replayed == 0 && !c.done
 	if checkStall {
-		c.noteStall(&c.snapBuf, executed, replayed, kind, bucket, outstanding, now)
+		c.noteStall(act0, executed, replayed, kind, bucket, outstanding, now)
 	}
 }
 
@@ -662,24 +712,24 @@ func (c *Core) Step() {
 // then by the frontend, defaulting to a scoreboard (dependency) wait.
 // Every input is held constant across a fast-forward window, so SkipTo
 // replays the same attribution in bulk.
-func (c *Core) classifyBucket(executed, replayed int, dq0, ssb0, at0, sd0, snf0, sfl0 uint64, outstanding int) cpu.Bucket {
+func (c *Core) classifyBucket(executed, replayed, outstanding int) cpu.Bucket {
 	if executed > 0 || replayed > 0 {
 		return cpu.BktRetire
 	}
-	switch {
-	case c.stats.DQFullStallCycles > dq0:
+	switch s := c.stalled; {
+	case s&stallDQ != 0:
 		return cpu.BktDQFull
-	case c.stats.SSBFullStallCycles > ssb0:
+	case s&stallSSB != 0:
 		return cpu.BktSSBFull
-	case c.stats.AtomicStallCycles > at0:
+	case s&stallAtomic != 0:
 		return cpu.BktAtomic
 	// Secure-mode holds outrank the memory system: a held result is the
 	// proximate blocker even while its (or another) miss is outstanding.
-	case c.stats.SecureDelayStallCycles > sd0:
+	case s&stallSecDelay != 0:
 		return cpu.BktSecureDelay
-	case c.stats.SecureNoFwdStallCycles > snf0:
+	case s&stallSecNoFwd != 0:
 		return cpu.BktSecureNoFwd
-	case c.stats.SecureSSBStallCycles > sfl0:
+	case s&stallSecSSB != 0:
 		return cpu.BktSecureSSB
 	case outstanding > 0:
 		return cpu.BktMSHR
@@ -722,7 +772,7 @@ func (c *Core) classifyCycle(executed, replayed int) CycleKind {
 // exempt from the time-based scan; secureRelease frees them when they
 // become the oldest unresolved instruction.
 func (c *Core) deliver(now uint64) {
-	if c.secPending > 0 {
+	if c.secHeld() > 0 {
 		c.secureRelease(now)
 	}
 	if len(c.pend) == 0 || now < c.pendMin {
@@ -738,9 +788,10 @@ func (c *Core) deliver(now uint64) {
 			}
 			continue
 		}
-		c.forward(p.seq, p.val)
+		c.wake(p.cons, p.val)
 		c.deliverRF(p.seq, p.rd, p.val, now)
 		c.resolveDirty = true
+		c.activity++
 	}
 	c.pend = live
 	c.pendMin = min

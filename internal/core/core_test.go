@@ -101,7 +101,7 @@ func TestDependentsDeferred(t *testing.T) {
 		b.Op(isa.OpAdd, 8, 7, 7)   // transitively dependent -> deferred
 		b.Halt()
 	})
-	stepUntil(t, c, 2000, func() bool { return len(c.dq) == 2 })
+	stepUntil(t, c, 2000, func() bool { return c.dqLen == 2 })
 	if !c.na[7] || !c.na[8] {
 		t.Error("NA propagation failed")
 	}
@@ -566,8 +566,8 @@ func TestDQOccupancyBounded(t *testing.T) {
 	})
 	for i := 0; i < 2000 && !c.Done(); i++ {
 		c.Step()
-		if len(c.dq) > 4 {
-			t.Fatalf("DQ occupancy %d > 4", len(c.dq))
+		if c.dqLen > 4 {
+			t.Fatalf("DQ occupancy %d > 4", c.dqLen)
 		}
 	}
 	if !c.Done() {

@@ -14,16 +14,17 @@ func (c *Core) DebugDump() string {
 	for _, ck := range c.ckpts {
 		fmt.Fprintf(&b, " {start=%d pc=%#x}", ck.startSeq, ck.pc)
 	}
-	fmt.Fprintf(&b, "\ndq=%d:", len(c.dq))
-	for i, e := range c.dq {
+	fmt.Fprintf(&b, "\ndq=%d ready=%d:", c.dqLen, len(c.dqReady))
+	for i, s := 0, c.dqHead; s >= 0; i, s = i+1, c.dqs[s].next {
 		if i >= 8 {
 			fmt.Fprintf(&b, " ...")
 			break
 		}
+		e := &c.dqs[s]
 		fmt.Fprintf(&b, " {%d %v pc=%#x", e.seq, e.in.Op, e.pc)
-		for s := 0; s < e.nsrc; s++ {
-			if e.isNA[s] {
-				fmt.Fprintf(&b, " dep%d=%d", s, e.dep[s])
+		for op, na := range e.isNA {
+			if na {
+				fmt.Fprintf(&b, " dep%d=%d", op, e.dep[op])
 			}
 		}
 		fmt.Fprintf(&b, "}")
@@ -36,7 +37,7 @@ func (c *Core) DebugDump() string {
 		}
 		fmt.Fprintf(&b, " {%d rd=%d ready=%d}", p.seq, p.rd, p.ready)
 	}
-	fmt.Fprintf(&b, "\nssb=%d dqStores=%d\n", len(c.ssb), c.dqStores)
+	fmt.Fprintf(&b, "\nssb=%d dqAddrStores=%d\n", len(c.ssb), len(c.dqAddrStores))
 	fmt.Fprintf(&b, "na:")
 	for r := 0; r < len(c.na); r++ {
 		if c.na[r] {

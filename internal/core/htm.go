@@ -57,7 +57,7 @@ func (c *Core) aheadTx(in isa.Inst, pc uint64, seq uint64, now uint64) (cont, re
 	if c.mode != ModeNormal {
 		// Serialize with SST speculation: wait until every epoch
 		// commits (or scout rolls back) before touching transactions.
-		c.stats.AtomicStallCycles++
+		c.stall(stallAtomic)
 		return false, false
 	}
 	if in.Op == isa.OpTxBegin {
@@ -113,6 +113,7 @@ func (c *Core) aheadTx(in isa.Inst, pc uint64, seq uint64, now uint64) (cont, re
 // txAbort rolls architectural state back to the txbegin and transfers
 // control to the handler with the abort code.
 func (c *Core) txAbort(now uint64) {
+	c.activity++
 	code := c.tx.abort
 	ck := c.tx.ckpt
 	c.regs = ck.regs

@@ -101,7 +101,7 @@ func TestPrefetchInstructionUnderSpeculation(t *testing.T) {
 		b.Halt()
 	})
 	run(t, c, 100_000)
-	if len(c.dq) != 0 {
+	if c.dqLen != 0 {
 		t.Error("prefetch left DQ entries behind")
 	}
 	if mach.Hier.Stats.Prefetches == 0 {

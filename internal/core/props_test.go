@@ -162,8 +162,8 @@ func TestOldestUnresolvedSeq(t *testing.T) {
 	if got := c.oldestUnresolvedSeq(); got != 100 {
 		t.Errorf("empty = %d", got)
 	}
-	c.dq = append(c.dq, dqEntry{seq: 42})
-	c.pend = append(c.pend, pendingResult{seq: 17})
+	c.deferToDQ(isa.Inst{Op: isa.OpNop}, 0, 42, [3]int64{}, [3]bool{}, false, 0)
+	c.pendInsert(pendingResult{seq: 17, cons: -1})
 	if got := c.oldestUnresolvedSeq(); got != 17 {
 		t.Errorf("got %d, want 17", got)
 	}
@@ -238,5 +238,37 @@ func TestIsaQuickRandomInstructionsNeverPanic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestConfigValidate: the shipped configurations pass, every bound
+// accepts its edge value, and one step past it is rejected.
+func TestConfigValidate(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), ExecuteAheadConfig(), ScoutConfig()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		edge, bad func(*Config)
+	}{
+		{"ckpt", func(c *Config) { c.Checkpoints = 64 }, func(c *Config) { c.Checkpoints = 65 }},
+		{"dq", func(c *Config) { c.DQSize = 1 << 16 }, func(c *Config) { c.DQSize = 1<<16 + 1 }},
+		{"dq-neg", func(c *Config) { c.DQSize = 0 }, func(c *Config) { c.DQSize = -1 }},
+		{"ssb", func(c *Config) { c.SSBSize = 1 << 16 }, func(c *Config) { c.SSBSize = 1<<16 + 1 }},
+		{"ssb-neg", func(c *Config) { c.SSBSize = 0 }, func(c *Config) { c.SSBSize = -1 }},
+		{"width", func(c *Config) { c.Width = 64 }, func(c *Config) { c.Width = 65 }},
+		{"replay", func(c *Config) { c.ReplayWidth = 64 }, func(c *Config) { c.ReplayWidth = 65 }},
+	} {
+		edge, bad := DefaultConfig(), DefaultConfig()
+		tc.edge(&edge)
+		tc.bad(&bad)
+		if err := edge.Validate(); err != nil {
+			t.Errorf("%s edge: %v", tc.name, err)
+		}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", tc.name, bad)
+		}
 	}
 }

@@ -18,10 +18,10 @@ func (c Config) Fingerprint() string {
 }
 
 // Reset returns the core to its freshly constructed state, executing
-// from entry, without reallocating: every speculative structure (DQ,
-// SSB, checkpoints, pending results, read set), the register file and
-// NA bits, mode/scout/transaction/coherence state, the fast-forward and
-// stall-snapshot caches, and all statistics (histograms cleared in
+// from entry, without reallocating: every speculative structure (DQ
+// slots and lists, SSB, checkpoints, pending results, read set), the
+// register file and NA bits, mode/scout/transaction/coherence state,
+// the fast-forward cache and activity counter, and all statistics (histograms cleared in
 // place). seq restarts at 1 — seq 0 stays reserved so lastWriter==0
 // means "no producer", exactly as in New. The caller resets the shared
 // machine separately (see cpu.Machine.Reset) and reinstalls per-run
@@ -36,13 +36,11 @@ func (c *Core) Reset(entry uint64) {
 	c.mode = ModeNormal
 	c.seq = 1
 	c.ckpts = c.ckpts[:0]
-	c.dq = c.dq[:0]
+	c.dqClear()
 	c.ssb = c.ssb[:0]
 	c.pend = c.pend[:0]
 	c.pendMin = 0
 	c.sbHorizon = 0
-	c.dqStores = 0
-	c.dqReady = 0
 	c.readSet = c.readSet[:0]
 	c.processed = 0
 	c.scoutTriggerSeq = 0
@@ -59,19 +57,15 @@ func (c *Core) Reset(entry uint64) {
 	c.cycle = 0
 	c.resolveDirty = false
 	c.quiet = false
-	c.snapBuf = stepSnap{}
+	c.activity = 0
 	c.feStall = false
 	c.ffNext = 0
 	c.ffKind = 0
 	c.ffBucket = 0
-	c.ffDQStall = 0
-	c.ffSSBStall = 0
-	c.ffAtStall = 0
-	c.ffSecDelay = 0
-	c.ffSecNoFwd = 0
-	c.ffSecSSB = 0
+	c.ffStall = 0
+	c.stalled = 0
 	c.ffMLP = 0
-	c.secPending = 0
+	c.secDelayHeld, c.secSSBHeld, c.secQuarHeld = 0, 0, 0
 	c.specFills = c.specFills[:0]
 
 	dq, ssb, ckpt, life := c.stats.DQOcc, c.stats.SSBOcc, c.stats.CkptOcc, c.stats.CkptLife

@@ -22,7 +22,7 @@ func specScenario(t *testing.T) *Core {
 		b.Halt()
 	})
 	stepUntil(t, c, 2000, func() bool {
-		return c.Mode() == ModeSpec && c.regs[7] == 99 && len(c.ssb) > 0 && len(c.dq) > 0
+		return c.Mode() == ModeSpec && c.regs[7] == 99 && len(c.ssb) > 0 && c.dqLen > 0
 	})
 	return c
 }
@@ -53,8 +53,8 @@ func TestRollbackRestoresStateAllCauses(t *testing.T) {
 					t.Errorf("speculative SSB entry (seq %d) survived rollback", e.seq)
 				}
 			}
-			for _, e := range c.dq {
-				if e.seq >= ck.startSeq {
+			for s := c.dqHead; s >= 0; s = c.dqs[s].next {
+				if e := &c.dqs[s]; e.seq >= ck.startSeq {
 					t.Errorf("speculative DQ entry (seq %d) survived rollback", e.seq)
 				}
 			}

@@ -41,55 +41,75 @@ import (
 // secureHold is the ready-time sentinel for blocked entries: the access
 // has not been performed, so no arrival cycle exists yet. nextTimer
 // skips sentinel entries (their release is event-driven, and every
-// release cycle is impure via Stats.SecureReleases).
+// release bumps the activity counter, so a release cycle is never
+// skipped).
 const secureHold = ^uint64(0)
 
+// secHeld returns the number of held pend entries.
+func (c *Core) secHeld() int { return c.secDelayHeld + c.secSSBHeld + c.secQuarHeld }
+
+// countHeld adds d to the held counter p belongs to, if any.
+func (c *Core) countHeld(p *pendingResult, d int) {
+	switch {
+	case p.blocked && p.secSSB:
+		c.secSSBHeld += d
+	case p.blocked:
+		c.secDelayHeld += d
+	case p.quarantined:
+		c.secQuarHeld += d
+	}
+}
+
 // secureRelease frees held pending results. At most one entry can be
-// the oldest unresolved instruction; a blocked entry performs its real
-// access there, a quarantined entry with arrived data forwards and
-// retires. Entries still held bump the per-cycle stall counters that
-// feed the BktSecure* CPI buckets.
+// the oldest unresolved instruction — pend is seq-sorted, so it can
+// only be pend[0]; a blocked entry performs its real access there, a
+// quarantined entry with arrived data forwards and retires. Entries
+// still held bump the per-cycle stall counters that feed the BktSecure*
+// CPI buckets: the held counters tell whether a blocked entry other than
+// the oldest exists, and only quarantined entries, whose stall depends
+// on their arrival, are scanned.
 func (c *Core) secureRelease(now uint64) {
 	oldest := c.oldestUnresolvedSeq()
-	relIdx := -1
-	var stallDelay, stallNoFwd, stallSSB bool
-	for i := range c.pend {
-		p := &c.pend[i]
+	delay, ssb, quar := c.secDelayHeld, c.secSSBHeld, c.secQuarHeld
+	release := false
+	if len(c.pend) > 0 && c.pend[0].seq == oldest {
+		p := &c.pend[0]
 		switch {
 		case p.blocked:
-			switch {
-			case p.seq == oldest:
-				relIdx = i
-			case p.secSSB:
-				stallSSB = true
-			default:
-				stallDelay = true
+			release = true
+			if p.secSSB {
+				ssb--
+			} else {
+				delay--
 			}
 		case p.quarantined:
-			if p.ready <= now {
-				if p.seq == oldest {
-					relIdx = i
-				} else {
-					stallNoFwd = true
-				}
+			release = p.ready <= now
+			quar--
+		}
+	}
+	if delay > 0 {
+		c.stall(stallSecDelay)
+	}
+	if quar > 0 {
+		for i := range c.pend {
+			p := &c.pend[i]
+			if p.quarantined && !p.blocked && p.ready <= now && p.seq != oldest {
+				c.stall(stallSecNoFwd)
+				break
 			}
 		}
 	}
-	if stallDelay {
-		c.stats.SecureDelayStallCycles++
+	if ssb > 0 {
+		c.stall(stallSecSSB)
 	}
-	if stallNoFwd {
-		c.stats.SecureNoFwdStallCycles++
-	}
-	if stallSSB {
-		c.stats.SecureSSBStallCycles++
-	}
-	if relIdx < 0 {
+	if !release {
 		return
 	}
-	p := &c.pend[relIdx]
+	p := &c.pend[0]
 	c.stats.SecureReleases++
 	c.resolveDirty = true
+	c.activity++
+	c.countHeld(p, -1)
 	if p.blocked {
 		// Oldest-unresolved: the load is no longer speculative. Perform
 		// the real access now; older stores have either drained to
@@ -103,19 +123,16 @@ func (c *Core) secureRelease(now uint64) {
 		c.noteSpecAccess(p.addr, p.seq, res)
 		p.ready = res.Ready
 		p.blocked = false
-		if !p.quarantined {
-			c.secPending--
-		}
+		c.countHeld(p, 1) // still quarantined, if SecureNoNAForward
 		if p.ready < c.pendMin {
 			c.pendMin = p.ready
 		}
 		return
 	}
 	// Quarantined with data in hand: deliver and retire the entry.
-	c.forward(p.seq, p.val)
+	c.wake(p.cons, p.val)
 	c.deliverRF(p.seq, p.rd, p.val, now)
-	c.secPending--
-	c.pend = append(c.pend[:relIdx], c.pend[relIdx+1:]...)
+	c.pend = c.pend[:copy(c.pend, c.pend[1:])]
 	var min uint64
 	for i := range c.pend {
 		if min == 0 || c.pend[i].ready < min {
@@ -125,39 +142,49 @@ func (c *Core) secureRelease(now uint64) {
 	c.pendMin = min
 }
 
+// pendInsert adds a pending result, keeping pend seq-sorted. Ahead-strand
+// results are the youngest and land at the end; replayed ones may sit
+// further in.
+func (c *Core) pendInsert(p pendingResult) {
+	if len(c.pend) == 0 || p.ready < c.pendMin {
+		c.pendMin = p.ready
+	}
+	c.pend = append(c.pend, p)
+	i := len(c.pend) - 1
+	for ; i > 0 && c.pend[i-1].seq > p.seq; i-- {
+		c.pend[i] = c.pend[i-1]
+	}
+	c.pend[i] = p
+	c.countHeld(&p, 1)
+}
+
 // secureBlock holds a speculative load whose access may not be
 // performed yet: destination NA, a blocked pend entry carrying the
 // access parameters for the release. ckpt mirrors deferResult's
-// per-miss checkpointing on the ahead strand (replay never checkpoints).
-func (c *Core) secureBlock(op isa.Op, rd uint8, pc, seq, addr uint64, ssbCause, ckpt bool) {
+// per-miss checkpointing on the ahead strand (replay never checkpoints);
+// cons is the replayed entry's consumer list (-1 on the ahead strand).
+func (c *Core) secureBlock(op isa.Op, rd uint8, pc, seq, addr uint64, ssbCause, ckpt bool, cons int32) {
 	if ckpt && c.cfg.CheckpointPerMiss && c.mode == ModeSpec {
 		c.takeCheckpoint(pc) // best effort; epochs merge when full
 	}
 	c.markNA(rd, seq)
-	if len(c.pend) == 0 {
-		c.pendMin = secureHold
-	}
-	c.pend = append(c.pend, pendingResult{
-		seq: seq, rd: rd, ready: secureHold,
+	c.pendInsert(pendingResult{
+		seq: seq, rd: rd, ready: secureHold, cons: cons,
 		op: op, addr: addr, pc: pc,
 		blocked: true, secSSB: ssbCause,
 		quarantined: c.cfg.SecureNoNAForward,
 	})
-	c.secPending++
 	c.stats.PendingMisses++
 	c.stats.SecureBlockedLoads++
 }
 
-// securePend appends a pending result that already has its value,
+// securePend adds a pending result that already has its value,
 // quarantined when SecureNoNAForward demands it. The caller marks the
-// destination NA (ahead strand) or relies on the defer-time NA (replay).
-func (c *Core) securePend(seq uint64, rd uint8, v int64, ready uint64, miss, quarantine bool) {
-	if len(c.pend) == 0 || ready < c.pendMin {
-		c.pendMin = ready
-	}
-	c.pend = append(c.pend, pendingResult{seq: seq, rd: rd, val: v, ready: ready, quarantined: quarantine})
+// destination NA (ahead strand) or relies on the defer-time NA (replay,
+// which passes the entry's consumer list as cons).
+func (c *Core) securePend(seq uint64, rd uint8, v int64, ready uint64, miss, quarantine bool, cons int32) {
+	c.pendInsert(pendingResult{seq: seq, rd: rd, val: v, ready: ready, cons: cons, quarantined: quarantine})
 	if quarantine {
-		c.secPending++
 		c.stats.SecureQuarantined++
 	}
 	if miss {
@@ -165,10 +192,11 @@ func (c *Core) securePend(seq uint64, rd uint8, v int64, ready uint64, miss, qua
 	}
 }
 
-// quarantineLast flags the entry deferResult just appended.
+// quarantineLast flags the entry deferResult just appended (the ahead
+// strand's result is the youngest, so it is last).
 func (c *Core) quarantineLast() {
 	c.pend[len(c.pend)-1].quarantined = true
-	c.secPending++
+	c.secQuarHeld++
 	c.stats.SecureQuarantined++
 }
 
@@ -180,7 +208,7 @@ func (c *Core) quarantineLast() {
 // all: the destination registers simply stay NA, like any other
 // poisoned scout value.
 func (c *Core) dropSecureHolds() {
-	if c.secPending == 0 {
+	if c.secHeld() == 0 {
 		return
 	}
 	live := c.pend[:0]
@@ -196,7 +224,7 @@ func (c *Core) dropSecureHolds() {
 	}
 	c.pend = live
 	c.pendMin = min
-	c.secPending = 0
+	c.secDelayHeld, c.secSSBHeld, c.secQuarHeld = 0, 0, 0
 	c.resolveDirty = true
 }
 
@@ -245,7 +273,7 @@ func (c *Core) secureLoadGate(in isa.Inst, pc, seq, addr uint64, size int, now u
 			return true
 		}
 		c.readSet = append(c.readSet, readRec{seq: seq, addr: addr, size: size})
-		c.secureBlock(in.Op, in.Rd, pc, seq, addr, true, true)
+		c.secureBlock(in.Op, in.Rd, pc, seq, addr, true, true, -1)
 		return true
 	}
 	if c.cfg.SecureDelayOnMiss {
@@ -259,7 +287,7 @@ func (c *Core) secureLoadGate(in isa.Inst, pc, seq, addr uint64, size int, now u
 				return true
 			}
 			c.readSet = append(c.readSet, readRec{seq: seq, addr: addr, size: size})
-			c.secureBlock(in.Op, in.Rd, pc, seq, addr, false, true)
+			c.secureBlock(in.Op, in.Rd, pc, seq, addr, false, true, -1)
 			return true
 		}
 		c.stats.CountLoadLevel(mem.LvlL1)
@@ -282,7 +310,7 @@ func (c *Core) secureLoadGate(in isa.Inst, pc, seq, addr uint64, size int, now u
 				return true
 			}
 			c.markNA(in.Rd, seq)
-			c.securePend(seq, in.Rd, v, ready, false, true)
+			c.securePend(seq, in.Rd, v, ready, false, true, -1)
 			return true
 		}
 		c.write(in.Rd, v, ready, seq)
@@ -307,7 +335,7 @@ func (c *Core) secureLoadGate(in isa.Inst, pc, seq, addr uint64, size int, now u
 			return true
 		}
 		c.markNA(in.Rd, seq)
-		c.securePend(seq, in.Rd, v, res.Ready, false, true)
+		c.securePend(seq, in.Rd, v, res.Ready, false, true, -1)
 		return true
 	}
 	return false
@@ -322,7 +350,7 @@ func (c *Core) secureReplayLoad(e *dqEntry, addr uint64, size int, now uint64) b
 	if c.cfg.SecureEagerSSBFlush && c.ssbOverlaps(addr, size, e.seq) {
 		c.stats.Loads++
 		c.stats.CountLoadLevel(mem.LvlMem)
-		c.secureBlock(in.Op, in.Rd, e.pc, e.seq, addr, true, false)
+		c.secureBlock(in.Op, in.Rd, e.pc, e.seq, addr, true, false, e.cons)
 		return true
 	}
 	if c.cfg.SecureDelayOnMiss {
@@ -331,7 +359,7 @@ func (c *Core) secureReplayLoad(e *dqEntry, addr uint64, size int, now uint64) b
 		c.noteSpecAccess(addr, e.seq, mem.Result{Level: mem.LvlL1})
 		if !hit {
 			c.stats.CountLoadLevel(mem.LvlMem)
-			c.secureBlock(in.Op, in.Rd, e.pc, e.seq, addr, false, false)
+			c.secureBlock(in.Op, in.Rd, e.pc, e.seq, addr, false, false, e.cons)
 			return true
 		}
 		c.stats.CountLoadLevel(mem.LvlL1)
@@ -339,10 +367,10 @@ func (c *Core) secureReplayLoad(e *dqEntry, addr uint64, size int, now uint64) b
 		v := isa.ExtendLoad(in.Op, raw)
 		miss := c.isMiss(mem.Result{Ready: ready, Level: mem.LvlL1}, now)
 		if miss || c.cfg.SecureNoNAForward {
-			c.securePend(e.seq, in.Rd, v, ready, miss, c.cfg.SecureNoNAForward)
+			c.securePend(e.seq, in.Rd, v, ready, miss, c.cfg.SecureNoNAForward, e.cons)
 			return true
 		}
-		c.forward(e.seq, v)
+		c.wake(e.cons, v)
 		c.deliverRF(e.seq, in.Rd, v, now)
 		return true
 	}
@@ -353,7 +381,7 @@ func (c *Core) secureReplayLoad(e *dqEntry, addr uint64, size int, now uint64) b
 		c.stats.Loads++
 		c.stats.CountLoadLevel(res.Level)
 		c.noteSpecAccess(addr, e.seq, res)
-		c.securePend(e.seq, in.Rd, v, res.Ready, c.isMiss(res, now), true)
+		c.securePend(e.seq, in.Rd, v, res.Ready, c.isMiss(res, now), true, e.cons)
 		return true
 	}
 	return false

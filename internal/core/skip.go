@@ -1,7 +1,6 @@
 package core
 
 import (
-	"rocksim/internal/bpred"
 	"rocksim/internal/cpu"
 	"rocksim/internal/obs"
 )
@@ -12,91 +11,76 @@ import (
 // counter, histogram and sink emission is bit-identical to naive
 // stepping.
 //
-// Purity is established by snapshotting — at Step entry — every piece
-// of state a stall cycle is forbidden to touch, and comparing at Step
-// exit. The set errs on the side of inclusion: any delivery, replay,
-// commit, rollback, checkpoint take, scout entry, mode change,
-// transaction event, predictor access (a deferred-branch retry consults
-// the direction predictor every cycle; a jalr retry may pop the RAS) or
-// fault-injector query (clamp probes record per retry inside an active
-// window) marks the cycle unskippable. What remains — the genuinely
-// replicable stalls — mutates only time-indexed accounting, which
-// SkipTo replays in closed form.
+// Purity is one comparison: Core.activity, read at Step entry and at
+// Step exit. Every path that changes what a stall cycle must not change
+// bumps it — delivery, replay, commit, rollback, checkpoint take or
+// denial, scout entry, transaction abort, secure release, predictor
+// access (a deferred-branch retry consults the direction predictor every
+// cycle; a jalr retry may pop the RAS) and a fault-injector clamp (clamp
+// probes record per retry inside an active window). Executing or
+// replaying an instruction is progress and already rules a skip out.
+// What remains — the genuinely replicable stalls — mutates only the
+// time-indexed accounting and the per-cycle stall counters (the
+// stallSet), which SkipTo replays in closed form.
 
 var _ cpu.FastForwarder = (*Core)(nil)
 
-// stepSnap is the Step-entry snapshot backing the purity check.
-type stepSnap struct {
-	seq          uint64
-	mode         Mode
-	pendLen      int
-	rollbacks    uint64
-	commits      uint64
-	ckptsTaken   uint64
-	retired      uint64
-	scoutEntries uint64
-	tx           TxStats
-	pred         bpred.Stats
-	ghr          uint64
-	fltMut       uint64
-	dqStall      uint64
-	ssbStall     uint64
-	atStall      uint64
-	secDelay     uint64
-	secNoFwd     uint64
-	secSSB       uint64
-	secRel       uint64
+// stallSet marks the per-cycle stall counters a Step bumped: the
+// structural ones (DQ full, SSB full, atomic serialization) and the
+// secure-mode holds. Each is bumped at most once per cycle — the ahead
+// strand stops at the instruction that stalls, and the secure release
+// step runs once — so classifyBucket names a stall by its set, and a
+// skip replays the recorded set once per skipped cycle.
+type stallSet uint8
+
+const (
+	stallDQ stallSet = 1 << iota
+	stallSSB
+	stallAtomic
+	stallSecDelay
+	stallSecNoFwd
+	stallSecSSB
+)
+
+// stall bumps the per-cycle stall counters in set, once each.
+func (c *Core) stall(set stallSet) {
+	c.stalled |= set
+	c.addStalls(set, 1)
 }
 
-// snapInto fills s with the Step-entry state. It writes through a
-// pointer (the caller reuses one buffer) so the hot path never copies or
-// zeroes the struct.
-func (c *Core) snapInto(s *stepSnap) {
-	s.seq = c.seq
-	s.mode = c.mode
-	s.pendLen = len(c.pend)
-	s.rollbacks = c.stats.Rollbacks
-	s.commits = c.stats.EpochCommits
-	s.ckptsTaken = c.stats.CheckpointsTaken
-	s.retired = c.stats.Retired
-	s.scoutEntries = c.stats.ScoutEntries
-	s.tx = c.stats.Tx
-	s.pred = c.m.Pred.Stats
-	s.ghr = c.m.Pred.History()
-	s.fltMut = c.flt.Mutations()
-	s.dqStall = c.stats.DQFullStallCycles
-	s.ssbStall = c.stats.SSBFullStallCycles
-	s.atStall = c.stats.AtomicStallCycles
-	s.secDelay = c.stats.SecureDelayStallCycles
-	s.secNoFwd = c.stats.SecureNoFwdStallCycles
-	s.secSSB = c.stats.SecureSSBStallCycles
-	s.secRel = c.stats.SecureReleases
+// addStalls adds n to each stall counter in set.
+func (c *Core) addStalls(set stallSet, n uint64) {
+	s := &c.stats
+	if set&stallDQ != 0 {
+		s.DQFullStallCycles += n
+	}
+	if set&stallSSB != 0 {
+		s.SSBFullStallCycles += n
+	}
+	if set&stallAtomic != 0 {
+		s.AtomicStallCycles += n
+	}
+	if set&stallSecDelay != 0 {
+		s.SecureDelayStallCycles += n
+	}
+	if set&stallSecNoFwd != 0 {
+		s.SecureNoFwdStallCycles += n
+	}
+	if set&stallSecSSB != 0 {
+		s.SecureSSBStallCycles += n
+	}
 }
 
 // noteStall runs at the end of Step: if the cycle was a replicable pure
-// stall it records the per-cycle credit deltas and the skip horizon,
+// stall it records the cycle's classification, stall set and skip horizon,
 // otherwise it leaves fast-forwarding disabled.
-func (c *Core) noteStall(s *stepSnap, executed, replayed int, kind CycleKind, bucket cpu.Bucket, outstanding int, now uint64) {
-	if executed != 0 || replayed != 0 || c.done || c.err != nil ||
-		c.seq != s.seq || c.mode != s.mode || len(c.pend) != s.pendLen ||
-		c.stats.Rollbacks != s.rollbacks || c.stats.EpochCommits != s.commits ||
-		c.stats.CheckpointsTaken != s.ckptsTaken || c.stats.Retired != s.retired ||
-		c.stats.ScoutEntries != s.scoutEntries || c.stats.Tx != s.tx ||
-		c.m.Pred.Stats != s.pred || c.m.Pred.History() != s.ghr ||
-		c.flt.Mutations() != s.fltMut ||
-		// A secure-mode release performs an access or forwards a value —
-		// never replicable, even though the pend length may not change.
-		c.stats.SecureReleases != s.secRel {
+func (c *Core) noteStall(act0 uint64, executed, replayed int, kind CycleKind, bucket cpu.Bucket, outstanding int, now uint64) {
+	if executed != 0 || replayed != 0 || c.done || c.err != nil || c.activity != act0 {
 		return
 	}
 	c.ffKind = kind
 	c.ffBucket = bucket
-	c.ffDQStall = c.stats.DQFullStallCycles - s.dqStall
-	c.ffSSBStall = c.stats.SSBFullStallCycles - s.ssbStall
-	c.ffAtStall = c.stats.AtomicStallCycles - s.atStall
-	c.ffSecDelay = c.stats.SecureDelayStallCycles - s.secDelay
-	c.ffSecNoFwd = c.stats.SecureNoFwdStallCycles - s.secNoFwd
-	c.ffSecSSB = c.stats.SecureSSBStallCycles - s.secSSB
+	c.ffStall = c.stalled
 	c.ffMLP = outstanding
 	c.ffNext = c.nextTimer(now)
 }
@@ -114,13 +98,24 @@ func (c *Core) nextTimer(now uint64) uint64 {
 		}
 	}
 	bound(c.fe.NextDelivery(now))
-	for i := range c.pend {
-		if c.pend[i].blocked {
-			// No arrival time exists yet: the release is event-driven,
-			// and the enabling resolution always breaks stall purity.
-			continue
+	// pendMin is the exact earliest ready time in pend. After this
+	// cycle's delivery only held entries can be due, so unless an
+	// arrived quarantined value sits at or before now, pendMin is the
+	// bound — or nothing, when every entry is a blocked hold.
+	if len(c.pend) > 0 && c.pendMin > now {
+		if c.pendMin != secureHold {
+			bound(c.pendMin)
 		}
-		bound(c.pend[i].ready)
+	} else {
+		for i := range c.pend {
+			if c.pend[i].blocked {
+				// No arrival time exists yet: the release is
+				// event-driven, and the enabling resolution always
+				// breaks stall purity.
+				continue
+			}
+			bound(c.pend[i].ready)
+		}
 	}
 	// sbHorizon is a monotonic upper bound on every readyAt value ever
 	// written; once the clock passes it the whole scoreboard is quiescent
@@ -166,21 +161,16 @@ func (c *Core) SkipTo(target uint64) {
 	n := target - c.cycle
 	c.stats.ModeCycles[c.ffKind] += n
 	c.stats.CPI[c.ffBucket] += n
-	c.stats.DQFullStallCycles += c.ffDQStall * n
-	c.stats.SSBFullStallCycles += c.ffSSBStall * n
-	c.stats.AtomicStallCycles += c.ffAtStall * n
-	c.stats.SecureDelayStallCycles += c.ffSecDelay * n
-	c.stats.SecureNoFwdStallCycles += c.ffSecNoFwd * n
-	c.stats.SecureSSBStallCycles += c.ffSecSSB * n
+	c.addStalls(c.ffStall, n)
 	if c.ffMLP > 0 {
 		c.stats.MLPSamples += n
 		c.stats.MLPSum += uint64(c.ffMLP) * n
 	}
 	if c.sink != nil {
-		c.occ[0], c.occ[1], c.occ[2], c.occ[3] = len(c.dq), len(c.ssb), len(c.ckpts), len(c.pend)
+		c.occ[0], c.occ[1], c.occ[2], c.occ[3] = c.dqLen, len(c.ssb), len(c.ckpts), len(c.pend)
 		obs.EmitCycleRun(c.sink, c.cycle, target, c.mode.String(), c.occ[:])
 	}
-	c.stats.DQOcc.AddN(len(c.dq), n)
+	c.stats.DQOcc.AddN(c.dqLen, n)
 	c.stats.SSBOcc.AddN(len(c.ssb), n)
 	c.stats.CkptOcc.AddN(len(c.ckpts), n)
 	c.stats.Cycles += n

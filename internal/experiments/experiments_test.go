@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rocksim/internal/sim"
 	"rocksim/internal/workload"
 )
 
@@ -129,5 +130,32 @@ func TestSweepsSmoke(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := NewRunner().Run("F99", workload.ScaleTest); err == nil {
 		t.Error("accepted unknown experiment")
+	}
+}
+
+// TestSweepsValidate: every core-size point the sweeps run passes
+// sim.Options.Validate on every SST-family kind, so the configuration
+// bounds never turn a paper figure's cell into an error — sst-big, which
+// doubles DQ, checkpoints and SSB, included.
+func TestSweepsValidate(t *testing.T) {
+	sweeps := []struct {
+		name string
+		vals []int
+		set  func(o *sim.Options, n int)
+	}{
+		{"dq", dqSweepSizes, func(o *sim.Options, n int) { o.SST.DQSize = n }},
+		{"ckpt", ckptSweepCounts, func(o *sim.Options, n int) { o.SST.Checkpoints = n }},
+		{"ssb", ssbSweepSizes, func(o *sim.Options, n int) { o.SST.SSBSize = n }},
+	}
+	for _, sw := range sweeps {
+		for _, n := range sw.vals {
+			opts := NewRunner().BaseOptions()
+			sw.set(&opts, n)
+			for _, k := range []sim.Kind{sim.KindSST, sim.KindSSTBig, sim.KindSSTEA, sim.KindScout} {
+				if err := opts.Validate(k); err != nil {
+					t.Errorf("%s=%d on %v: %v", sw.name, n, k, err)
+				}
+			}
+		}
 	}
 }

@@ -75,9 +75,12 @@ func TestPoolReusesInstances(t *testing.T) {
 // panic unwinds past it and the corrupt machine is garbage-collected.
 // The sim-level differential tests cover the reuse semantics;
 // the panicking compute seam here bypasses the pool, so that drop
-// path is enforced structurally rather than end to end.)
+// path is enforced structurally rather than end to end.) Like
+// TestPoolReusesInstances it pauses GC and runs on one P, so the reuse
+// count depends on the pool alone.
 func TestPoolReusesAfterWatchdogError(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r := NewRunner()
 	r.SetJobs(1)
 	spec, err := workload.Build("oltp", workload.ScaleTest)

@@ -8,6 +8,15 @@ import (
 	"rocksim/internal/workload"
 )
 
+// The core-size sweep points of Figures 3-5. Every one must pass
+// sim.Options.Validate on every SST-family kind, sst-big's doubling
+// included (see TestSweepsValidate).
+var (
+	dqSweepSizes    = []int{0, 8, 16, 32, 64, 128}
+	ckptSweepCounts = []int{1, 2, 4, 8}
+	ssbSweepSizes   = []int{4, 8, 16, 32, 64}
+)
+
 // DQSweep regenerates Figure 3: sensitivity of SST performance to the
 // Deferred Queue size. DQ=0 degenerates to hardware scout.
 func (r *Runner) DQSweep(scale workload.Scale) (*Result, error) {
@@ -15,7 +24,7 @@ func (r *Runner) DQSweep(scale workload.Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sizes := []int{0, 8, 16, 32, 64, 128}
+	sizes := dqSweepSizes
 	cells := make([]cell, 0, len(specs)*len(sizes))
 	for _, w := range specs {
 		for _, n := range sizes {
@@ -54,7 +63,7 @@ func (r *Runner) CheckpointSweep(scale workload.Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts := []int{1, 2, 4, 8}
+	counts := ckptSweepCounts
 	cells := make([]cell, 0, len(specs)*len(counts))
 	for _, w := range specs {
 		for _, n := range counts {
@@ -93,7 +102,7 @@ func (r *Runner) SSBSweep(scale workload.Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sizes := []int{4, 8, 16, 32, 64}
+	sizes := ssbSweepSizes
 	cells := make([]cell, 0, len(specs)*len(sizes))
 	for _, w := range specs {
 		for _, n := range sizes {

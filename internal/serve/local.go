@@ -67,11 +67,13 @@ func buildCell(kind, name, scale string) (sim.Kind, *workload.Spec, error) {
 }
 
 // buildOptions applies a request's overrides to the runner's base
-// options, exactly as sstsim maps its flags.
-func (l *local) buildOptions(ro *RunOptions) (sim.Options, error) {
+// options, exactly as sstsim maps its flags, and validates the result
+// for kind k, so an out-of-bounds override is a 400 before the run
+// reaches the runner.
+func (l *local) buildOptions(k sim.Kind, ro *RunOptions) (sim.Options, error) {
 	opts := l.run.BaseOptions()
 	if ro == nil {
-		return opts, nil
+		return opts, opts.Validate(k)
 	}
 	if ro.DQ != nil {
 		opts.SST.DQSize = *ro.DQ
@@ -102,7 +104,7 @@ func (l *local) buildOptions(ro *RunOptions) (sim.Options, error) {
 		}
 		opts.Faults = plan
 	}
-	return opts, nil
+	return opts, opts.Validate(k)
 }
 
 // compute runs one cell on the runner and stamps X-Compute-Us: the
@@ -124,7 +126,7 @@ func (l *local) Run(ctx context.Context, w http.ResponseWriter, req RunRequest) 
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts, err := l.buildOptions(req.Options)
+	opts, err := l.buildOptions(kind, req.Options)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

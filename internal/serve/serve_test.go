@@ -150,6 +150,34 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnboundedConfig: core-size overrides outside
+// core.Config.Validate's bounds are a 400, not an allocation — a
+// checkpoint count of 1<<26 once ran the process out of memory and a
+// negative SSB wedged the run — and the daemon keeps answering.
+func TestRunRejectsUnboundedConfig(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"huge ckpt", `{"kind":"sst","workload":"chase","scale":"test","options":{"ckpt":67108864}}`},
+		{"negative ssb", `{"kind":"sst","workload":"chase","scale":"test","options":{"ssb":-1}}`},
+		{"negative dq", `{"kind":"sst-ea","workload":"chase","scale":"test","options":{"dq":-1}}`},
+		// sst-big doubles the base sizes, so it is checked after doubling.
+		{"sst-big doubled dq", `{"kind":"sst-big","workload":"chase","scale":"test","options":{"dq":40000}}`},
+	} {
+		resp, body := postJSON(t, ts.URL, "/v1/run", tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, resp.StatusCode, body)
+		}
+		if resp, body := get(t, ts.URL, "/healthz"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("after %s: healthz status %d body %s", tc.name, resp.StatusCode, body)
+		}
+	}
+}
+
 // gridRef regenerates ids on a fresh serial Runner, rendering exactly
 // what `sstbench -j 1` prints minus its wall-clock lines.
 func gridRef(t *testing.T, ids []string, scale workload.Scale) []byte {

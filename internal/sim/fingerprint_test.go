@@ -71,8 +71,8 @@ func TestFingerprintStableAndDiscriminating(t *testing.T) {
 
 	// Every simulation-affecting knob must discriminate.
 	mutations := map[string]func(*Options){
-		"hier":     func(o *Options) { o.Hier.L2.SizeBytes *= 2 },
-		"pred":     func(o *Options) { o.Pred.GshareBits++ },
+		"hier": func(o *Options) { o.Hier.L2.SizeBytes *= 2 },
+		"pred": func(o *Options) { o.Pred.GshareBits++ },
 		// Predictor kind and share mode must discriminate on their own:
 		// two runs differing only here may never share a cache or pool
 		// entry (a TAGE machine is not a reset gshare machine).
@@ -81,16 +81,16 @@ func TestFingerprintStableAndDiscriminating(t *testing.T) {
 		"tagetbl":   func(o *Options) { o.Pred.TageTables = 3 },
 		"tagebits":  func(o *Options) { o.Pred.TageTableBits++ },
 		"tagetag":   func(o *Options) { o.Pred.TageTagBits++ },
-		"inorder":  func(o *Options) { o.InOrder.Width++ },
-		"ooo":      func(o *Options) { o.OOO.ROBSize++ },
-		"ooolg":    func(o *Options) { o.OOOLg.ROBSize++ },
-		"sst":      func(o *Options) { o.SST.DQSize++ },
-		"secdelay": func(o *Options) { o.SST.SecureDelayOnMiss = true },
-		"secnofwd": func(o *Options) { o.SST.SecureNoNAForward = true },
-		"secssb":   func(o *Options) { o.SST.SecureEagerSSBFlush = true },
-		"cycles":   func(o *Options) { o.MaxCycles = 99 },
-		"livelock": func(o *Options) { o.LivelockWindow = 99 },
-		"faults":   func(o *Options) { o.Faults = faults.Random(8, 200_000) },
+		"inorder":   func(o *Options) { o.InOrder.Width++ },
+		"ooo":       func(o *Options) { o.OOO.ROBSize++ },
+		"ooolg":     func(o *Options) { o.OOOLg.ROBSize++ },
+		"sst":       func(o *Options) { o.SST.DQSize++ },
+		"secdelay":  func(o *Options) { o.SST.SecureDelayOnMiss = true },
+		"secnofwd":  func(o *Options) { o.SST.SecureNoNAForward = true },
+		"secssb":    func(o *Options) { o.SST.SecureEagerSSBFlush = true },
+		"cycles":    func(o *Options) { o.MaxCycles = 99 },
+		"livelock":  func(o *Options) { o.LivelockWindow = 99 },
+		"faults":    func(o *Options) { o.Faults = faults.Random(8, 200_000) },
 	}
 	for name, mutate := range mutations {
 		m := opts

@@ -45,6 +45,9 @@ type Instance struct {
 // consulted (see Options.ShapeFingerprint); per-run fields are ignored
 // here and honored by Run.
 func NewInstance(k Kind, opts Options) (*Instance, error) {
+	if err := opts.Validate(k); err != nil {
+		return nil, err
+	}
 	m := mem.NewSparse()
 	mach, err := cpu.NewMachine(m, opts.Hier, opts.Pred)
 	if err != nil {

@@ -208,6 +208,9 @@ func (o Outcome) IPC() float64 {
 // the options' observability hooks and fault injector. An unknown kind
 // returns an error (a caller-supplied kind must not crash a harness).
 func NewCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, error) {
+	if err := opts.Validate(k); err != nil {
+		return nil, err
+	}
 	c, err := newCore(k, m, opts, entry)
 	if err != nil {
 		return nil, err
@@ -233,6 +236,9 @@ func NewCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, erro
 }
 
 func newCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, error) {
+	if cfg, ok := sstConfig(k, opts); ok {
+		return core.New(m, cfg, entry), nil
+	}
 	switch k {
 	case KindInOrder:
 		return inorder.New(m, opts.InOrder, entry), nil
@@ -240,20 +246,28 @@ func newCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, erro
 		return ooo.New(m, opts.OOO, entry), nil
 	case KindOOOLarge:
 		return ooo.New(m, opts.OOOLg, entry), nil
+	}
+	return nil, fmt.Errorf("sim: bad core kind %d", k)
+}
+
+// sstConfig derives the core configuration an SST-family kind runs from
+// the options; ok is false for the other kinds.
+func sstConfig(k Kind, opts Options) (cfg core.Config, ok bool) {
+	switch k {
 	case KindSST:
-		return core.New(m, opts.SST, entry), nil
+		return opts.SST, true
 	case KindSSTBig:
-		cfg := opts.SST
+		cfg = opts.SST
 		cfg.DQSize = 2 * opts.SST.DQSize
 		cfg.Checkpoints = 2 * opts.SST.Checkpoints
 		cfg.SSBSize = 2 * opts.SST.SSBSize
-		return core.New(m, cfg, entry), nil
+		return cfg, true
 	case KindSSTEA:
-		cfg := opts.SST
+		cfg = opts.SST
 		cfg.SecondStrand = false
-		return core.New(m, cfg, entry), nil
+		return cfg, true
 	case KindScout:
-		cfg := core.ScoutConfig()
+		cfg = core.ScoutConfig()
 		cfg.Width = opts.SST.Width
 		cfg.TakenPenalty = opts.SST.TakenPenalty
 		cfg.MispredictPenalty = opts.SST.MispredictPenalty
@@ -261,9 +275,22 @@ func newCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, erro
 		cfg.SecureDelayOnMiss = opts.SST.SecureDelayOnMiss
 		cfg.SecureNoNAForward = opts.SST.SecureNoNAForward
 		cfg.SecureEagerSSBFlush = opts.SST.SecureEagerSSBFlush
-		return core.New(m, cfg, entry), nil
+		return cfg, true
 	}
-	return nil, fmt.Errorf("sim: bad core kind %d", k)
+	return cfg, false
+}
+
+// Validate reports whether kind k can be built from the options: the
+// SST-family kinds check the core configuration they derive (sst-big's
+// doubled sizes included) against core.Config.Validate. NewInstance
+// runs it, so the CLI, runner, daemon and fleet share one check.
+func (o Options) Validate(k Kind) error {
+	if cfg, ok := sstConfig(k, o); ok {
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("sim: %v: %w", k, err)
+		}
+	}
+	return nil
 }
 
 // Run loads the program into a fresh machine, executes it to completion
